@@ -43,8 +43,8 @@ pub use params::{
     CdcAlgorithm, CdcParams, DEFAULT_CDC, DEFAULT_FASTCDC, DEFAULT_NORM_LEVEL, DEFAULT_SC_SIZE,
 };
 pub use sc::ScChunker;
-pub use stream::{InstrumentedChunker, StreamChunker, StreamedChunk};
-pub use wfc::WfcChunker;
+pub use stream::{SpanChunker, StreamChunker, StreamedChunk};
+pub use wfc::{WfcChunker, WFC_MAX_CHUNK};
 
 use std::fmt;
 

@@ -1,19 +1,29 @@
-//! Streaming chunking over `std::io::Read`.
+//! Streaming chunking over `std::io::Read`, and span chunking over a
+//! buffer already in memory.
 //!
 //! The slice-based [`Chunker`](crate::Chunker) API requires the whole file
 //! in memory; fine for PC-scale files, but VM disk images (the paper's
 //! biggest category) can exceed RAM. [`StreamChunker`] produces the same
 //! chunks incrementally with bounded memory: an internal buffer of at most
-//! `2 × max_chunk` bytes, refilled as chunks are emitted.
+//! `2 × max_chunk` bytes (one [`WFC_MAX_CHUNK`] for WFC), refilled as
+//! chunks are emitted. [`SpanChunker`] cuts the same boundaries over a
+//! buffer the caller already holds and yields spans, copying nothing.
 //!
-//! Equivalence with the batch API is guaranteed by construction for SC and
-//! WFC and tested exhaustively for CDC (boundaries depend only on a
-//! 48-byte window, which never spans the buffer seam thanks to the
-//! carry-over logic).
+//! Both cut with one function, so they agree by construction. Equivalence
+//! with the batch API is guaranteed by construction for SC and WFC and
+//! tested exhaustively for CDC (boundaries depend only on a 48-byte
+//! window, which never spans the buffer seam thanks to the carry-over
+//! logic). A WFC cut falls at every exact multiple of [`WFC_MAX_CHUNK`],
+//! however the reader splits its reads.
 
 use std::io::Read;
 
-use crate::{CdcChunker, ChunkingMethod, ContentChunker, FastCdcChunker, ScChunker};
+use aadedupe_obs::{Counter, Recorder, Stage};
+
+use crate::{
+    CdcChunker, ChunkSpan, ChunkingMethod, ContentChunker, FastCdcChunker, ScChunker,
+    WFC_MAX_CHUNK,
+};
 
 /// A chunk produced by streaming: its bytes plus global offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,8 +54,99 @@ enum Method {
     Cdc(Box<ContentChunker>),
 }
 
+impl Method {
+    fn for_method(method: ChunkingMethod, sc_chunk_size: usize, cdc: crate::CdcParams) -> Self {
+        match method {
+            ChunkingMethod::Wfc => Method::Wfc,
+            ChunkingMethod::Sc => Method::Sc(ScChunker::new(sc_chunk_size)),
+            ChunkingMethod::Cdc => Method::Cdc(Box::new(ContentChunker::new(cdc))),
+        }
+    }
+
+    /// How many bytes must be visible before a cut is final without
+    /// seeing EOF.
+    fn lookahead(&self) -> usize {
+        match self {
+            Method::Wfc => WFC_MAX_CHUNK,
+            Method::Sc(sc) => sc.chunk_size(),
+            // CDC boundaries within the first max_size bytes are final
+            // once max_size bytes are visible.
+            Method::Cdc(cdc) => cdc.params().max_size,
+        }
+    }
+
+    /// The first chunk of `rest`, a non-empty remainder of the stream
+    /// holding at least [`Self::lookahead`] bytes or reaching EOF.
+    fn cut(&self, rest: &[u8]) -> (usize, ChunkingMethod) {
+        let visible = rest.len().min(self.lookahead());
+        match self {
+            Method::Wfc => (visible, ChunkingMethod::Wfc),
+            Method::Sc(_) => (visible, ChunkingMethod::Sc),
+            // Both CDC algorithms decide each cut from the current chunk's
+            // bytes alone (Rabin re-primes its window, the gear hash
+            // restarts at zero), never from bytes past max_size.
+            // aalint: allow(panic-path) -- visible is clamped to rest.len() above
+            Method::Cdc(cdc) => (cdc.first_cut(&rest[..visible]), ChunkingMethod::Cdc),
+        }
+    }
+}
+
+/// Chunk spans over a buffer already in memory: exactly the boundaries
+/// [`StreamChunker`] emits for the same bytes, with no byte copied.
+pub struct SpanChunker<'a> {
+    data: &'a [u8],
+    offset: usize,
+    method: Method,
+    recorder: Option<&'a Recorder>,
+}
+
+impl<'a> SpanChunker<'a> {
+    /// Span chunker for any [`ChunkingMethod`], built from the method's
+    /// parameters like [`StreamChunker::for_method`].
+    pub fn for_method(
+        data: &'a [u8],
+        method: ChunkingMethod,
+        sc_chunk_size: usize,
+        cdc: crate::CdcParams,
+    ) -> Self {
+        let method = Method::for_method(method, sc_chunk_size, cdc);
+        SpanChunker { data, offset: 0, method, recorder: None }
+    }
+
+    /// Times every cut into the recorder's `chunk` stage and counts the
+    /// chunks by method and their bytes. A disabled recorder reduces each
+    /// observation to one atomic load.
+    pub fn instrumented(self, recorder: &'a Recorder) -> Self {
+        SpanChunker { recorder: Some(recorder), ..self }
+    }
+}
+
+impl Iterator for SpanChunker<'_> {
+    type Item = ChunkSpan;
+
+    fn next(&mut self) -> Option<ChunkSpan> {
+        let started = self.recorder.and_then(Recorder::start);
+        let rest = self.data.get(self.offset..).filter(|r| !r.is_empty())?;
+        let (len, method) = self.method.cut(rest);
+        if let Some(rec) = self.recorder {
+            rec.record(Stage::Chunk, started);
+            let by_method = match method {
+                ChunkingMethod::Cdc => Counter::ChunksCdc,
+                ChunkingMethod::Sc => Counter::ChunksSc,
+                ChunkingMethod::Wfc => Counter::ChunksWfc,
+            };
+            rec.count(by_method, 1);
+            rec.count(Counter::ChunkBytes, len as u64);
+        }
+        let span = ChunkSpan { offset: self.offset, len, method };
+        self.offset += len;
+        Some(span)
+    }
+}
+
 impl<R: Read> StreamChunker<R> {
-    /// Whole-file streaming (accumulates everything; one chunk at EOF).
+    /// Whole-file streaming: one chunk per file, cut at every exact
+    /// multiple of [`WFC_MAX_CHUNK`].
     pub fn wfc(reader: R) -> Self {
         Self::new(reader, Method::Wfc)
     }
@@ -83,11 +184,7 @@ impl<R: Read> StreamChunker<R> {
         sc_chunk_size: usize,
         cdc: crate::CdcParams,
     ) -> Self {
-        match method {
-            ChunkingMethod::Wfc => Self::wfc(reader),
-            ChunkingMethod::Sc => Self::sc(reader, ScChunker::new(sc_chunk_size)),
-            ChunkingMethod::Cdc => Self::content(reader, ContentChunker::new(cdc)),
-        }
+        Self::new(reader, Method::for_method(method, sc_chunk_size, cdc))
     }
 
     fn new(reader: R, method: Method) -> Self {
@@ -99,23 +196,18 @@ impl<R: Read> StreamChunker<R> {
         self.err.take()
     }
 
-    /// How many buffered bytes we need before a chunk can be emitted
-    /// without seeing EOF.
-    fn high_water(&self) -> usize {
-        match &self.method {
-            Method::Wfc => usize::MAX,
-            Method::Sc(sc) => sc.chunk_size(),
-            // CDC boundaries within the first max_size bytes are final
-            // once max_size bytes are visible.
-            Method::Cdc(cdc) => cdc.params().max_size,
-        }
-    }
-
     fn fill(&mut self) {
-        let target = self.high_water().saturating_mul(2).min(1 << 26);
+        // Twice the lookahead amortises refills; WFC only ever needs one
+        // whole chunk, so its buffer stops at exactly the cap.
+        let target = match self.method {
+            Method::Wfc => WFC_MAX_CHUNK,
+            _ => self.method.lookahead().saturating_mul(2),
+        };
         let mut scratch = [0u8; 64 * 1024];
         while !self.eof && self.buf.len() < target {
-            match self.reader.read(&mut scratch) {
+            let want = (target - self.buf.len()).min(scratch.len());
+            // aalint: allow(panic-path) -- want is clamped to scratch.len() above
+            match self.reader.read(&mut scratch[..want]) {
                 Ok(0) => self.eof = true,
                 // aalint: allow(panic-path) -- Read contract: a conforming reader returns n <= scratch.len()
                 Ok(n) => self.buf.extend_from_slice(&scratch[..n]),
@@ -135,48 +227,6 @@ impl<R: Read> StreamChunker<R> {
         chunk
     }
 
-    /// Wraps the chunker so every produced chunk is timed into the
-    /// recorder's `chunk` stage and counted by chunking method. A disabled
-    /// recorder reduces each observation to one atomic load.
-    pub fn instrumented(self, recorder: std::sync::Arc<aadedupe_obs::Recorder>) -> InstrumentedChunker<R> {
-        InstrumentedChunker { inner: self, recorder }
-    }
-}
-
-/// A [`StreamChunker`] that reports per-chunk latency and chunk counts to
-/// an [`aadedupe_obs::Recorder`]. Produces exactly the chunks the inner
-/// chunker would — observation only.
-pub struct InstrumentedChunker<R: Read> {
-    inner: StreamChunker<R>,
-    recorder: std::sync::Arc<aadedupe_obs::Recorder>,
-}
-
-impl<R: Read> InstrumentedChunker<R> {
-    /// Takes the I/O error that terminated the stream, if any.
-    pub fn io_error(&mut self) -> Option<std::io::Error> {
-        self.inner.io_error()
-    }
-}
-
-impl<R: Read> Iterator for InstrumentedChunker<R> {
-    type Item = StreamedChunk;
-
-    fn next(&mut self) -> Option<StreamedChunk> {
-        use aadedupe_obs::{Counter, Stage};
-        let started = self.recorder.start();
-        let chunk = self.inner.next()?;
-        self.recorder.record(Stage::Chunk, started);
-        if started.is_some() {
-            let by_method = match chunk.method {
-                ChunkingMethod::Cdc => Counter::ChunksCdc,
-                ChunkingMethod::Sc => Counter::ChunksSc,
-                ChunkingMethod::Wfc => Counter::ChunksWfc,
-            };
-            self.recorder.count(by_method, 1);
-            self.recorder.count(Counter::ChunkBytes, chunk.data.len() as u64);
-        }
-        Some(chunk)
-    }
 }
 
 impl<R: Read> Iterator for StreamChunker<R> {
@@ -187,27 +237,7 @@ impl<R: Read> Iterator for StreamChunker<R> {
         if self.buf.is_empty() {
             return None;
         }
-        let (len, method) = match &self.method {
-            // Everything buffered (fill reads to EOF for WFC since
-            // high_water is MAX).
-            Method::Wfc => (self.buf.len(), ChunkingMethod::Wfc),
-            Method::Sc(sc) => (sc.chunk_size().min(self.buf.len()), ChunkingMethod::Sc),
-            Method::Cdc(cdc) => {
-                // A boundary found with max_size bytes visible is final:
-                // both CDC algorithms decide each cut from the current
-                // chunk's bytes alone (Rabin re-primes its window, the
-                // gear hash restarts at zero), never from bytes past it.
-                let cut = if self.buf.len() <= cdc.params().max_size && self.eof {
-                    // Tail: chunk exactly as the batch API would.
-                    cdc.first_cut(&self.buf)
-                } else {
-                    let upper = cdc.params().max_size.min(self.buf.len());
-                    // aalint: allow(panic-path) -- upper is clamped to buf.len() on the previous line
-                    cdc.first_cut(&self.buf[..upper])
-                };
-                (cut, ChunkingMethod::Cdc)
-            }
-        };
+        let (len, method) = self.method.cut(&self.buf);
         Some(self.emit(len, method))
     }
 }
@@ -337,6 +367,69 @@ mod tests {
         assert_eq!(chunks.len(), batch.len());
         assert_eq!(chunks[0].data, data);
         assert_eq!(chunks[0].method, ChunkingMethod::Wfc);
+    }
+
+    /// A reader that hands out its bytes in irregular short reads.
+    struct Choppy<'a> {
+        data: &'a [u8],
+        reads: usize,
+    }
+
+    impl Read for Choppy<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            const SIZES: [usize; 5] = [1, 4093, 777, 65_536, 30_001];
+            self.reads += 1;
+            let n = buf.len().min(SIZES[self.reads % SIZES.len()]).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn wfc_cuts_at_exact_multiples_of_the_cap() {
+        let data = pseudo_random(WFC_MAX_CHUNK + 1, 64);
+        for (len, expect) in [
+            (WFC_MAX_CHUNK - 1, vec![WFC_MAX_CHUNK - 1]),
+            (WFC_MAX_CHUNK, vec![WFC_MAX_CHUNK]),
+            (WFC_MAX_CHUNK + 1, vec![WFC_MAX_CHUNK, 1]),
+        ] {
+            let file = &data[..len];
+            let batch: Vec<usize> = WfcChunker::new().chunk(file).iter().map(|s| s.len).collect();
+            assert_eq!(batch, expect, "batch, len={len}");
+            let spans: Vec<usize> =
+                SpanChunker::for_method(file, ChunkingMethod::Wfc, 8192, DEFAULT_CDC)
+                    .map(|s| s.len)
+                    .collect();
+            assert_eq!(spans, expect, "spans, len={len}");
+            let mut offset = 0;
+            let mut lens = Vec::new();
+            for c in StreamChunker::wfc(Choppy { data: file, reads: 0 }) {
+                assert_eq!(c.offset as usize, offset, "len={len}");
+                assert!(c.data == file[offset..offset + c.data.len()], "len={len}");
+                offset += c.data.len();
+                lens.push(c.data.len());
+            }
+            assert_eq!(lens, expect, "choppy stream, len={len}");
+        }
+    }
+
+    #[test]
+    fn span_chunker_matches_stream_for_every_method() {
+        let data = pseudo_random(300_000, 41);
+        for cdc in [DEFAULT_CDC, DEFAULT_FASTCDC] {
+            for method in [ChunkingMethod::Wfc, ChunkingMethod::Sc, ChunkingMethod::Cdc] {
+                let stream: Vec<(u64, usize)> =
+                    StreamChunker::for_method(Choppy { data: &data, reads: 0 }, method, 8192, cdc)
+                        .map(|c| (c.offset, c.data.len()))
+                        .collect();
+                let spans: Vec<(u64, usize)> = SpanChunker::for_method(&data, method, 8192, cdc)
+                    .map(|s| (s.offset as u64, s.len))
+                    .collect();
+                assert_eq!(spans, stream, "{method:?} {:?}", cdc.algorithm);
+            }
+        }
+        assert_eq!(SpanChunker::for_method(&[], ChunkingMethod::Cdc, 8192, DEFAULT_CDC).count(), 0);
     }
 
     #[test]

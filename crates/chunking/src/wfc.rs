@@ -1,12 +1,19 @@
 //! Whole File Chunking (WFC).
 //!
-//! The degenerate chunking strategy: the entire file is a single chunk.
+//! The degenerate chunking strategy: the entire file is a single chunk
+//! (up to [`WFC_MAX_CHUNK`]).
 //! AA-Dedupe applies it to *compressed* applications (AVI, MP3, ISO, DMG,
 //! RAR, JPG), whose sub-file redundancy in the paper's Table 1 is ≤ 0.9 % —
 //! file-level duplicate detection captures essentially all of it while
 //! paying one weak-hash computation per file.
 
 use crate::{ChunkSpan, Chunker, ChunkingMethod};
+
+/// The largest whole-file chunk: a file longer than this is cut at every
+/// exact multiple of it, by the batch and the streaming API alike. A cap
+/// must exist because recipes store chunk lengths as `u32`; 64 MiB keeps
+/// the streaming buffer bounded too.
+pub const WFC_MAX_CHUNK: usize = 1 << 26;
 
 /// Whole-file chunker.
 #[derive(Debug, Clone, Copy, Default)]
@@ -21,14 +28,14 @@ impl WfcChunker {
 
 impl Chunker for WfcChunker {
     fn chunk(&self, data: &[u8]) -> Vec<ChunkSpan> {
-        if data.is_empty() {
-            return Vec::new();
-        }
-        vec![ChunkSpan {
-            offset: 0,
-            len: data.len(),
-            method: ChunkingMethod::Wfc,
-        }]
+        (0..data.len())
+            .step_by(WFC_MAX_CHUNK)
+            .map(|offset| ChunkSpan {
+                offset,
+                len: (data.len() - offset).min(WFC_MAX_CHUNK),
+                method: ChunkingMethod::Wfc,
+            })
+            .collect()
     }
 
     fn method(&self) -> ChunkingMethod {

@@ -106,6 +106,14 @@ pub trait ObjectBackend: Send + Sync {
     /// object must never become visible under `key`).
     fn put(&self, key: &str, bytes: Vec<u8>) -> Result<(), BackendError>;
 
+    /// [`put`](Self::put), except that a failed put hands `bytes` back, so
+    /// a caller that retries need not keep a copy of every object it
+    /// uploads. The provided version copies for the attempt; a store that
+    /// can hand the bytes back without one overrides it.
+    fn put_returning(&self, key: &str, bytes: Vec<u8>) -> Result<(), (BackendError, Vec<u8>)> {
+        self.put(key, bytes.clone()).map_err(|e| (e, bytes))
+    }
+
     /// Fetches the object at `key`. `Ok(None)` is a clean miss; `Err` is a
     /// failed transfer whose outcome is unknown.
     fn get(&self, key: &str) -> Result<Option<Vec<u8>>, BackendError>;

@@ -293,27 +293,36 @@ impl FaultInjectingBackend {
 
 impl ObjectBackend for FaultInjectingBackend {
     fn put(&self, key: &str, bytes: Vec<u8>) -> Result<(), BackendError> {
-        self.tick_op(BackendOp::Put, key)?;
-        match self.put_fault(key) {
+        self.put_returning(key, bytes).map_err(|(e, _)| e)
+    }
+
+    fn put_returning(&self, key: &str, bytes: Vec<u8>) -> Result<(), (BackendError, Vec<u8>)> {
+        if let Err(e) = self.tick_op(BackendOp::Put, key) {
+            return Err((e, bytes));
+        }
+        let failure = match self.put_fault(key) {
             Some((_, Some(keep))) => {
                 // Torn write: the partial object lands, the put still fails.
                 let keep = keep.min(bytes.len());
                 // aalint: allow(panic-path) -- keep was clamped to bytes.len() on the line above
-                self.inner.put(key, bytes[..keep].to_vec())?;
-                Err(BackendError::transient(
+                if let Err(e) = self.inner.put(key, bytes[..keep].to_vec()) {
+                    return Err((e, bytes));
+                }
+                BackendError::transient(
                     BackendOp::Put,
                     key,
                     format!("injected truncation to {keep} bytes"),
-                ))
+                )
             }
             Some((true, None)) => {
-                Err(BackendError::transient(BackendOp::Put, key, "injected transient failure"))
+                BackendError::transient(BackendOp::Put, key, "injected transient failure")
             }
             Some((false, None)) => {
-                Err(BackendError::permanent(BackendOp::Put, key, "injected permanent failure"))
+                BackendError::permanent(BackendOp::Put, key, "injected permanent failure")
             }
-            None => self.inner.put(key, bytes),
-        }
+            None => return self.inner.put_returning(key, bytes),
+        };
+        Err((failure, bytes))
     }
 
     fn get(&self, key: &str) -> Result<Option<Vec<u8>>, BackendError> {

@@ -72,6 +72,19 @@ impl CloudSim {
         Ok(t)
     }
 
+    /// [`put`](Self::put), except that a failed put hands the bytes back
+    /// for a retry (see [`ObjectBackend::put_returning`]).
+    pub fn put_returning(
+        &self,
+        key: &str,
+        bytes: Vec<u8>,
+    ) -> Result<Duration, (BackendError, Vec<u8>)> {
+        let t = self.wan.upload_time(bytes.len() as u64);
+        *self.clock.lock() += t;
+        self.store.put_returning(key, bytes)?;
+        Ok(t)
+    }
+
     /// Downloads an object; returns its bytes and the simulated transfer
     /// time (misses and failures cost one request overhead).
     pub fn get(&self, key: &str) -> Result<(Option<Vec<u8>>, Duration), BackendError> {

@@ -142,6 +142,11 @@ impl crate::backend::ObjectBackend for ObjectStore {
         ObjectStore::put(self, key, bytes)
     }
 
+    fn put_returning(&self, key: &str, bytes: Vec<u8>) -> Result<(), (BackendError, Vec<u8>)> {
+        // Memory never fails: the bytes are always kept, never copied.
+        ObjectStore::put(self, key, bytes).map_err(|e| (e, Vec::new()))
+    }
+
     fn get(&self, key: &str) -> Result<Option<Vec<u8>>, BackendError> {
         ObjectStore::get(self, key)
     }

@@ -63,8 +63,18 @@ impl ContainerBuilder {
     /// algorithm with `digest_len` would keep the container within its
     /// fixed size.
     pub fn fits(&self, len: usize, digest_len: usize) -> bool {
+        Self::fits_after(self.projected, self.target_size, len, digest_len)
+    }
+
+    /// Whether a chunk of `len` bytes fits an *empty* container of
+    /// `target_size` — false means it needs a dedicated oversized one.
+    pub fn fits_empty(target_size: usize, len: usize, digest_len: usize) -> bool {
+        Self::fits_after(HEADER_LEN, target_size, len, digest_len)
+    }
+
+    fn fits_after(projected: usize, target_size: usize, len: usize, digest_len: usize) -> bool {
         let desc = 1 + digest_len + 8;
-        self.projected + desc + len <= self.target_size
+        projected + desc + len <= target_size
     }
 
     /// Appends a chunk, returning its offset within the data section.

@@ -31,7 +31,7 @@ pub use builder::ContainerBuilder;
 pub use format::{ChunkDescriptor, ContainerError, ParsedContainer, CONTAINER_MAGIC};
 pub use store::{
     compact_container, compact_container_bytes, compose_id, decompose_id, CompactedContainer,
-    ContainerStore, Placement, SealedContainer, StoreStats, STREAM_ID_SHIFT,
+    ContainerStore, Placement, SealedContainer, StoreStats, StreamWriter, STREAM_ID_SHIFT,
 };
 
 /// Default fixed container size: 1 MiB (paper §III.F).

@@ -20,7 +20,7 @@
 //! matter how many threads feed the store.
 
 use crate::builder::ContainerBuilder;
-use crate::format::{ChunkDescriptor, ContainerError, ParsedContainer};
+use crate::format::{encode_container, ChunkDescriptor, ContainerError, ParsedContainer};
 use aadedupe_hashing::Fingerprint;
 use aadedupe_obs::{Counter, Recorder, Stage};
 use std::collections::BTreeMap;
@@ -82,18 +82,117 @@ pub struct StoreStats {
     pub chunks: u64,
 }
 
-/// Manages one open container per stream plus the sealed-output queue.
+/// The writer of one container stream: its open container, its id
+/// sequence, and the containers it sealed that nobody has taken yet.
+///
+/// A [`ContainerStore`] keeps one writer per stream and can lend a writer
+/// out ([`ContainerStore::lend`]) so another thread appends to that stream
+/// alone, then take it back ([`ContainerStore::merge`]). Ids and bytes do
+/// not depend on which thread held the writer: they follow only from the
+/// stream's own append sequence.
+pub struct StreamWriter {
+    stream: u32,
+    container_size: usize,
+    next_seq: u64,
+    open: Option<ContainerBuilder>,
+    sealed: Vec<SealedContainer>,
+    stats: StoreStats,
+    recorder: Arc<Recorder>,
+}
+
+impl StreamWriter {
+    fn new(stream: u32, container_size: usize, next_seq: u64, recorder: Arc<Recorder>) -> Self {
+        StreamWriter {
+            stream,
+            container_size,
+            next_seq,
+            open: None,
+            sealed: Vec::new(),
+            stats: StoreStats::default(),
+            recorder,
+        }
+    }
+
+    /// Mints the stream's next container id.
+    fn mint_id(&mut self) -> u64 {
+        let id = compose_id(self.stream, self.next_seq);
+        self.next_seq += 1;
+        id
+    }
+
+    /// Adds a chunk to the open container, sealing and rolling as needed.
+    /// A chunk too large for an empty container gets a dedicated
+    /// container, sealed at once and unpadded.
+    pub fn add_chunk(&mut self, fp: Fingerprint, chunk: &[u8]) -> Placement {
+        let started = self.recorder.start();
+        self.recorder.count(Counter::ContainerAppends, 1);
+        self.recorder.count(Counter::StoredBytes, chunk.len() as u64);
+        self.stats.chunks += 1;
+        self.stats.data_bytes += chunk.len() as u64;
+        let digest_len = fp.algorithm().digest_len();
+
+        if !ContainerBuilder::fits_empty(self.container_size, chunk.len(), digest_len) {
+            // Encoded straight from the caller's slice: a builder would
+            // copy the whole chunk once more before sealing.
+            let id = self.mint_id();
+            let desc = ChunkDescriptor { fingerprint: fp, offset: 0, len: chunk.len() as u32 };
+            self.stats.oversized += 1;
+            self.push_sealed(id, encode_container(id, &[desc], chunk, None), 0, 1);
+            self.recorder.record(Stage::ContainerAppend, started);
+            return Placement { container: id, offset: 0 };
+        }
+
+        if self.open.as_ref().is_some_and(|b| !b.fits(chunk.len(), digest_len)) {
+            self.seal();
+        }
+        let builder = match self.open.take() {
+            Some(b) => b,
+            None => ContainerBuilder::new(self.mint_id(), self.container_size),
+        };
+        let builder = self.open.insert(builder);
+        let id = builder.container_id();
+        let offset = builder.append(fp, chunk);
+        self.recorder.record(Stage::ContainerAppend, started);
+        Placement { container: id, offset }
+    }
+
+    /// Seals the open container, if it holds anything; the notional slot
+    /// fill is accounted in [`StoreStats::padding_bytes`].
+    fn seal(&mut self) {
+        if let Some(b) = self.open.take() {
+            if !b.is_empty() {
+                let started = self.recorder.start();
+                let (id, chunks) = (b.container_id(), b.chunk_count());
+                let (bytes, padding) = b.seal();
+                self.push_sealed(id, bytes, padding, chunks);
+                self.recorder.record(Stage::ContainerSeal, started);
+            }
+        }
+    }
+
+    fn push_sealed(&mut self, id: u64, bytes: Vec<u8>, padding: usize, chunks: usize) {
+        self.stats.sealed += 1;
+        self.stats.padding_bytes += padding as u64;
+        self.recorder.count(Counter::ContainersSealed, 1);
+        self.recorder.count(Counter::SealedBytes, bytes.len() as u64);
+        self.sealed.push(SealedContainer { id, bytes, padding, chunks });
+    }
+
+    /// Takes the containers sealed since the last drain, in seal order.
+    pub fn drain_sealed(&mut self) -> Vec<SealedContainer> {
+        std::mem::take(&mut self.sealed)
+    }
+}
+
+/// Manages one [`StreamWriter`] per stream plus the sealed-output queue.
 pub struct ContainerStore {
     container_size: usize,
-    /// Next sequence number per stream (ids are per-stream, see
-    /// [`compose_id`]).
-    next_seq: BTreeMap<u32, u64>,
     /// Floor applied to every stream's sequence, covering namespaces whose
     /// existing ids predate the per-stream scheme.
     seq_floor: u64,
-    open: BTreeMap<u32, ContainerBuilder>,
+    streams: BTreeMap<u32, StreamWriter>,
+    /// Containers sealed through the store's own methods, in seal order.
     sealed: Vec<SealedContainer>,
-    stats: StoreStats,
     recorder: Arc<Recorder>,
 }
 
@@ -102,17 +201,18 @@ impl ContainerStore {
     pub fn new(container_size: usize) -> Self {
         ContainerStore {
             container_size,
-            next_seq: BTreeMap::new(),
             seq_floor: 0,
-            open: BTreeMap::new(),
+            streams: BTreeMap::new(),
             sealed: Vec::new(),
-            stats: StoreStats::default(),
             recorder: Recorder::shared_disabled(),
         }
     }
 
     /// Routes this store's append/seal observations to `recorder`.
     pub fn set_recorder(&mut self, recorder: Arc<Recorder>) {
+        for w in self.streams.values_mut() {
+            w.recorder = Arc::clone(&recorder);
+        }
         self.recorder = recorder;
     }
 
@@ -127,18 +227,17 @@ impl ContainerStore {
     /// uploads would clobber live objects).
     pub fn resume_ids_from(&mut self, next_seq: u64) {
         self.seq_floor = self.seq_floor.max(next_seq);
+        for w in self.streams.values_mut() {
+            w.next_seq = w.next_seq.max(next_seq);
+        }
     }
 
     /// Ensures `stream`'s future sequence numbers start at or after
     /// `next_seq` — the per-stream resume used after decomposing existing
     /// container ids with [`decompose_id`].
     pub fn resume_stream_ids(&mut self, stream: u32, next_seq: u64) {
-        let seq = self.next_seq.entry(stream).or_insert(0);
-        *seq = (*seq).max(next_seq);
-    }
-
-    fn fresh_id(&mut self, stream: u32) -> u64 {
-        Self::mint_id(&mut self.next_seq, self.seq_floor, stream)
+        let w = self.writer_mut(stream);
+        w.next_seq = w.next_seq.max(next_seq);
     }
 
     /// Mints a fresh container id for `stream` without opening a builder —
@@ -146,90 +245,66 @@ impl ContainerStore {
     /// containers that stay monotonic and can never collide with ids a
     /// later backup session mints from the same store.
     pub fn mint_container_id(&mut self, stream: u32) -> u64 {
-        self.fresh_id(stream)
+        self.writer_mut(stream).mint_id()
     }
 
-    /// Field-level id minting so [`add_chunk`](Self::add_chunk) can mint
-    /// inside an `open.entry()` closure (disjoint field borrows).
-    fn mint_id(next_seq: &mut BTreeMap<u32, u64>, seq_floor: u64, stream: u32) -> u64 {
-        let seq = next_seq.entry(stream).or_insert(0);
-        let current = (*seq).max(seq_floor);
-        *seq = current + 1;
-        compose_id(stream, current)
+    /// `stream`'s writer, created on first use.
+    pub fn writer_mut(&mut self, stream: u32) -> &mut StreamWriter {
+        let (size, floor, recorder) = (self.container_size, self.seq_floor, &self.recorder);
+        self.streams
+            .entry(stream)
+            .or_insert_with(|| StreamWriter::new(stream, size, floor, Arc::clone(recorder)))
+    }
+
+    /// Lends `stream`'s writer out, so one other thread can own the stream
+    /// until [`merge`](Self::merge) takes it back. While it is out, the
+    /// store knows nothing of the stream: callers must not append to it
+    /// through the store.
+    pub fn lend(&mut self, stream: u32) -> StreamWriter {
+        match self.streams.remove(&stream) {
+            Some(w) => w,
+            None => StreamWriter::new(
+                stream,
+                self.container_size,
+                self.seq_floor,
+                Arc::clone(&self.recorder),
+            ),
+        }
+    }
+
+    /// Takes a lent writer back, queueing any containers it sealed and
+    /// nobody drained.
+    pub fn merge(&mut self, mut writer: StreamWriter) {
+        self.sealed.append(&mut writer.sealed);
+        self.streams.insert(writer.stream, writer);
     }
 
     /// Adds a chunk to `stream`'s open container, sealing/rolling as
     /// needed. Oversized chunks get a dedicated container sealed
     /// immediately.
     pub fn add_chunk(&mut self, stream: u32, fp: Fingerprint, chunk: &[u8]) -> Placement {
-        let started = self.recorder.start();
-        self.recorder.count(Counter::ContainerAppends, 1);
-        self.recorder.count(Counter::StoredBytes, chunk.len() as u64);
-        self.stats.chunks += 1;
-        self.stats.data_bytes += chunk.len() as u64;
-        let digest_len = fp.algorithm().digest_len();
-
-        // Oversized chunk: dedicated container, sealed at once, unpadded.
-        let fits_any = ContainerBuilder::new(u64::MAX, self.container_size)
-            .fits(chunk.len(), digest_len);
-        if !fits_any {
-            let id = self.fresh_id(stream);
-            let mut b = ContainerBuilder::new(id, self.container_size);
-            let offset = b.append(fp, chunk);
-            let (bytes, padding) = b.seal();
-            self.stats.sealed += 1;
-            self.stats.oversized += 1;
-            self.stats.padding_bytes += padding as u64;
-            self.recorder.count(Counter::ContainersSealed, 1);
-            self.recorder.count(Counter::SealedBytes, bytes.len() as u64);
-            self.sealed.push(SealedContainer { id, bytes, padding, chunks: 1 });
-            self.recorder.record(Stage::ContainerAppend, started);
-            return Placement { container: id, offset };
-        }
-
-        // Roll the stream's open container if the chunk doesn't fit.
-        let needs_roll =
-            self.open.get(&stream).is_some_and(|b| !b.fits(chunk.len(), digest_len));
-        if needs_roll {
-            self.seal_stream(stream);
-        }
-        let size = self.container_size;
-        let (next_seq, seq_floor) = (&mut self.next_seq, self.seq_floor);
-        let builder = self
-            .open
-            .entry(stream)
-            .or_insert_with(|| ContainerBuilder::new(Self::mint_id(next_seq, seq_floor, stream), size));
-        let id = builder.container_id();
-        let offset = builder.append(fp, chunk);
-        self.recorder.record(Stage::ContainerAppend, started);
-        Placement { container: id, offset }
+        let w = self.writer_mut(stream);
+        let placement = w.add_chunk(fp, chunk);
+        let mut sealed = w.drain_sealed();
+        self.sealed.append(&mut sealed);
+        placement
     }
 
     /// Seals `stream`'s open container (if any); the notional slot fill
     /// is accounted in [`StoreStats::padding_bytes`].
     pub fn seal_stream(&mut self, stream: u32) {
-        if let Some(b) = self.open.remove(&stream) {
-            if b.is_empty() {
-                return;
-            }
-            let started = self.recorder.start();
-            let id = b.container_id();
-            let chunks = b.chunk_count();
-            let (bytes, padding) = b.seal();
-            self.stats.sealed += 1;
-            self.stats.padding_bytes += padding as u64;
-            self.recorder.count(Counter::ContainersSealed, 1);
-            self.recorder.count(Counter::SealedBytes, bytes.len() as u64);
-            self.sealed.push(SealedContainer { id, bytes, padding, chunks });
-            self.recorder.record(Stage::ContainerSeal, started);
+        if let Some(w) = self.streams.get_mut(&stream) {
+            w.seal();
+            self.sealed.append(&mut w.sealed);
         }
     }
 
-    /// Seals every open container (end of a backup session).
+    /// Seals every open container (end of a backup session), in stream
+    /// order.
     pub fn seal_all(&mut self) {
-        let streams: Vec<u32> = self.open.keys().copied().collect();
-        for s in streams {
-            self.seal_stream(s);
+        for w in self.streams.values_mut() {
+            w.seal();
+            self.sealed.append(&mut w.sealed);
         }
     }
 
@@ -240,12 +315,20 @@ impl ContainerStore {
 
     /// Sealed containers waiting to be drained.
     pub fn pending(&self) -> usize {
-        self.sealed.len()
+        self.sealed.len() + self.streams.values().map(|w| w.sealed.len()).sum::<usize>()
     }
 
-    /// Statistics snapshot.
+    /// Statistics snapshot, summed over the streams the store holds.
     pub fn stats(&self) -> StoreStats {
-        self.stats
+        let mut total = StoreStats::default();
+        for s in self.streams.values().map(|w| w.stats) {
+            total.sealed += s.sealed;
+            total.oversized += s.oversized;
+            total.data_bytes += s.data_bytes;
+            total.padding_bytes += s.padding_bytes;
+            total.chunks += s.chunks;
+        }
+        total
     }
 }
 
@@ -474,6 +557,40 @@ mod tests {
             sealed
         };
         assert_eq!(run(true), run(false), "sealed containers are order-independent");
+    }
+
+    #[test]
+    fn lent_writer_produces_what_the_store_would() {
+        let chunks: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i; 700 + 90 * i as usize]).collect();
+        let mut direct = ContainerStore::new(2048);
+        direct.resume_stream_ids(5, 3);
+        for c in &chunks {
+            direct.add_chunk(5, fp(c), c);
+        }
+        direct.seal_all();
+
+        let mut lending = ContainerStore::new(2048);
+        lending.resume_stream_ids(5, 3);
+        let mut writer = lending.lend(5);
+        let mut sealed = Vec::new();
+        for (i, c) in chunks.iter().enumerate() {
+            writer.add_chunk(fp(c), c);
+            if i == 6 {
+                sealed.extend(writer.drain_sealed());
+            }
+        }
+        // Sealed but not drained: the store takes those over on merge.
+        lending.merge(writer);
+        lending.seal_all();
+        sealed.extend(lending.drain_sealed());
+
+        let bytes = |v: Vec<SealedContainer>| -> Vec<(u64, Vec<u8>)> {
+            v.into_iter().map(|s| (s.id, s.bytes)).collect()
+        };
+        assert_eq!(bytes(sealed), bytes(direct.drain_sealed()));
+        assert_eq!(lending.stats(), direct.stats());
+        // The merged writer continues the stream's sequence.
+        assert_eq!(lending.mint_container_id(5), direct.mint_container_id(5));
     }
 
     #[test]

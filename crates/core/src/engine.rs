@@ -14,17 +14,16 @@
 //! pipeline built purely on `std::thread` + `std::sync::mpsc`:
 //!
 //! ```text
-//!          jobs                 per-app shards            append requests
-//! main ──────────▶ workers ──────────────────▶ dedup ──────────────────▶ appender
-//!  │    (bounded)  read+classify  (bounded,     shards   (reply channel)  (owns the
-//!  │               chunk+hash      one per app)   │                       ContainerStore)
-//!  │                                              │ outcomes
-//!  └───────────── tiny files (file order) ────────┴──▶ merge (file order)
+//!         window            per-app shards              outcomes and their
+//! feeder ────────▶ workers ─────────────────▶ dedup ─────────────────────────▶ main
+//!   ▲    file    read, chunk,   file order    shards    sealed containers      │ absorb in file order,
+//!   │    order   hash                         (each owns its stream's writer)  │ pack tiny files,
+//!   └───────────────────────────── files absorbed ─────────────────────────────┘ upload containers
 //! ```
 //!
 //! Determinism contract: the output (containers, manifests, index,
-//! report counters) is *identical* to a serial run for a fixed file
-//! ordering, because
+//! report counters, the PUT sequence) is *identical* to a serial run for
+//! a fixed file ordering, because
 //!
 //! 1. container ids are per-stream
 //!    ([`compose_id`](aadedupe_container::compose_id)), so a stream's
@@ -34,21 +33,28 @@
 //!    absorbs out-of-order worker completions), so every stream's append
 //!    sequence — and every partition's lookup/insert sequence — matches
 //!    the serial one;
-//! 3. tiny files are packed by the main thread in file order, feeding the
-//!    tiny stream the exact serial sequence;
-//! 4. a single appender thread owns the [`ContainerStore`], serving
-//!    placement requests; per-producer mpsc FIFO keeps each stream's
-//!    arrivals in its shard's send order.
+//! 3. each shard owns its stream's [`StreamWriter`], the main thread owns
+//!    the tiny-file stream, and each file's outcome carries the
+//!    containers sealed while its chunks were placed;
+//! 4. the main thread absorbs outcomes in file order, uploading each
+//!    file's containers as it absorbs them, then the tail seals in stream
+//!    order, the manifest and the index snapshot.
+//!
+//! The feeder admits file `i` only while `i < absorbed + workers ×
+//! queue_depth`, which bounds everything in flight by a constant
+//! independent of the session's size.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
-use aadedupe_chunking::{CdcParams, StreamChunker, DEFAULT_CDC};
+use aadedupe_chunking::{CdcParams, ChunkSpan, SpanChunker, DEFAULT_CDC};
 use aadedupe_cloud::CloudSim;
-use aadedupe_container::{decompose_id, ContainerStore, Placement, DEFAULT_CONTAINER_SIZE};
+use aadedupe_container::{
+    decompose_id, ContainerStore, SealedContainer, StreamWriter, DEFAULT_CONTAINER_SIZE,
+};
 use aadedupe_filetype::{AppType, DedupPolicy, SourceFile};
 use aadedupe_hashing::Fingerprint;
 use aadedupe_index::{codec, AppAwareIndex, ChunkEntry};
@@ -82,10 +88,10 @@ pub enum PipelineMode {
 pub struct PipelineConfig {
     /// Chunk+hash worker threads (1 = serial under [`PipelineMode::Auto`]).
     pub workers: usize,
-    /// Bound on in-flight items per channel: the job queue holds
-    /// `workers * queue_depth` file indices and each dedup shard buffers
-    /// `queue_depth` chunked files, keeping pipeline memory proportional
-    /// to thread count rather than dataset size.
+    /// Files in flight per worker: the feeder admits a file only within
+    /// `workers * queue_depth` files of the last one absorbed, keeping
+    /// pipeline memory proportional to thread count rather than dataset
+    /// size.
     pub queue_depth: usize,
     /// Serial/parallel selection policy.
     pub mode: PipelineMode,
@@ -241,114 +247,115 @@ pub struct AaDedupe {
     pub(crate) sweep_debt: Vec<u64>,
 }
 
-/// The result of chunk+hash over one file.
+/// The result of chunk+hash over one file: the bytes `read()` returned and
+/// each chunk as a span over them, so nothing is copied until a unique
+/// chunk lands in its container.
 struct ChunkedFile {
-    /// (fingerprint, chunk bytes) in file order.
-    chunks: Vec<(Fingerprint, Vec<u8>)>,
+    data: Vec<u8>,
+    /// (fingerprint, span) in file order; the spans tile `data`.
+    chunks: Vec<(Fingerprint, ChunkSpan)>,
     /// CPU time spent producing them.
     cpu: Duration,
 }
 
-/// The result of deduplicating one file: its recipe plus the report
-/// deltas the merge step folds into the session totals.
+/// The result of deduplicating one file: its recipe, the report deltas
+/// the main thread folds into the session totals, and the containers its
+/// placements sealed.
 struct DedupedFile {
     recipe: FileRecipe,
     stored_bytes: u64,
     chunks_duplicate: u64,
     disk_reads: u64,
     cpu: Duration,
+    /// Containers sealed while this file's chunks were placed, in seal
+    /// order; each is counted on the `upload` queue until uploaded.
+    sealed: Vec<SealedContainer>,
 }
 
-/// A placement request sent to the single-writer appender thread.
-struct AppendReq {
-    stream: u32,
-    fp: Fingerprint,
-    bytes: Vec<u8>,
-    reply: mpsc::Sender<Placement>,
+/// Takes the containers `writer` sealed for the file just placed, counting
+/// each onto the `upload` queue.
+fn take_sealed(writer: &mut StreamWriter, rec: &Recorder) -> Vec<SealedContainer> {
+    let sealed = writer.drain_sealed();
+    for _ in &sealed {
+        rec.queue_push(Queue::Upload);
+    }
+    sealed
 }
 
-/// Chunk + fingerprint one file's bytes according to the policy, via the
-/// streaming chunker (identical boundaries to the batch API; each caller
-/// builds its own chunker, so worker threads share nothing).
-fn chunk_and_hash(
-    policy: &DedupPolicy,
-    sc_chunk_size: usize,
-    cdc: CdcParams,
-    app: AppType,
-    data: &[u8],
-    rec: &Arc<Recorder>,
-) -> ChunkedFile {
+/// Reads one file, then chunks and fingerprints it according to the
+/// policy. Chunks are cut as spans over the bytes read (the boundaries
+/// the streaming chunker emits) and hashed in place.
+fn chunk_and_hash(cfg: &AaDedupeConfig, app: AppType, file: &dyn SourceFile) -> ChunkedFile {
+    let rec = &cfg.recorder;
+    let data = file.read();
+    rec.count(Counter::SourceBytes, data.len() as u64);
     let (chunks, cpu) = crate::timing::measure_cpu(|| {
-        let (method, hash) = policy.for_app(app);
-        StreamChunker::for_method(data, method, sc_chunk_size, cdc)
-            .instrumented(Arc::clone(rec))
-            .map(|c| {
+        let (method, hash) = cfg.policy.for_app(app);
+        SpanChunker::for_method(&data, method, cfg.sc_chunk_size, cfg.cdc_for(app))
+            .instrumented(rec)
+            .map(|span| {
                 let hashing = rec.start();
-                let fp = Fingerprint::compute(hash, &c.data);
+                let fp = Fingerprint::compute(hash, span.slice(&data));
                 rec.record(Stage::Hash, hashing);
-                (fp, c.data)
+                (fp, span)
             })
             .collect()
     });
-    ChunkedFile { chunks, cpu }
+    ChunkedFile { data, chunks, cpu }
 }
 
-/// Deduplicate one chunked file against its application's partition.
-/// `append` places a unique chunk and returns where it landed — directly
-/// into the [`ContainerStore`] on the serial path, via the appender
-/// thread's request channel on the parallel path. The lookup→insert
-/// sequence per partition is what both paths execute identically.
+/// Deduplicate one chunked file against its application's partition,
+/// placing unique chunks through `writer`, its stream's only writer. The
+/// lookup→insert sequence per partition is what every pipeline executes
+/// identically.
 fn dedupe_chunks(
     index: &AppAwareIndex,
     path: &str,
     app: AppType,
     chunked: ChunkedFile,
-    append: &mut dyn FnMut(Fingerprint, Vec<u8>) -> Placement,
+    writer: &mut StreamWriter,
+    rec: &Recorder,
 ) -> DedupedFile {
-    let chunk_cpu = chunked.cpu;
+    let ChunkedFile { data, chunks, cpu: chunk_cpu } = chunked;
     let (mut deduped, elapsed) = crate::timing::measure_cpu(|| {
         let mut recipe = FileRecipe {
             path: path.to_string(),
             app,
             tiny: false,
-            chunks: Vec::with_capacity(chunked.chunks.len()),
+            chunks: Vec::with_capacity(chunks.len()),
         };
         let (mut stored_bytes, mut chunks_duplicate, mut disk_reads) = (0u64, 0u64, 0u64);
-        for (fp, bytes) in chunked.chunks {
+        for (fp, span) in chunks {
             let outcome = index.lookup_classified(app, &fp);
             if outcome.touched_disk() {
                 disk_reads += 1;
             }
-            let reference = match outcome.entry() {
+            let (container, offset) = match outcome.entry() {
                 Some(entry) => {
                     chunks_duplicate += 1;
-                    ChunkRef {
-                        fingerprint: fp,
-                        len: bytes.len() as u32,
-                        container: entry.container,
-                        offset: entry.offset,
-                    }
+                    (entry.container, entry.offset)
                 }
                 None => {
-                    let len = bytes.len();
-                    let placement = append(fp, bytes);
+                    let placement = writer.add_chunk(fp, span.slice(&data));
                     index.insert(
                         app,
                         fp,
-                        ChunkEntry::new(len as u64, placement.container, placement.offset),
+                        ChunkEntry::new(span.len as u64, placement.container, placement.offset),
                     );
-                    stored_bytes += len as u64;
-                    ChunkRef {
-                        fingerprint: fp,
-                        len: len as u32,
-                        container: placement.container,
-                        offset: placement.offset,
-                    }
+                    stored_bytes += span.len as u64;
+                    (placement.container, placement.offset)
                 }
             };
-            recipe.chunks.push(reference);
+            recipe.chunks.push(ChunkRef { fingerprint: fp, len: span.len as u32, container, offset });
         }
-        DedupedFile { recipe, stored_bytes, chunks_duplicate, disk_reads, cpu: Duration::ZERO }
+        DedupedFile {
+            recipe,
+            stored_bytes,
+            chunks_duplicate,
+            disk_reads,
+            cpu: Duration::ZERO,
+            sealed: take_sealed(writer, rec),
+        }
     });
     deduped.cpu = chunk_cpu + elapsed;
     deduped
@@ -357,30 +364,35 @@ fn dedupe_chunks(
 /// The tiny-file path: no chunk-level dedup (the size filter), but
 /// unchanged files (same change token) are carried forward by reference
 /// instead of re-packed — the Cumulus-style grouping the paper cites for
-/// its tiny-file handling. Always runs on the main thread, in file order.
+/// its tiny-file handling, as long as `container_live` still holds the
+/// referenced container (a deleted session may have reclaimed it). Always
+/// runs on the main thread, in file order, through the tiny stream's
+/// writer.
 fn pack_tiny(
     tiny_seen: &mut HashMap<String, (u64, ChunkRef)>,
+    container_live: &HashMap<u64, u64>,
     file: &dyn SourceFile,
-    append: &mut dyn FnMut(Fingerprint, Vec<u8>) -> Placement,
+    writer: &mut StreamWriter,
     rec: &Recorder,
 ) -> DedupedFile {
     let app = file.app_type();
     let token = file.change_token();
+    let recipe = |reference| FileRecipe {
+        path: file.path().to_string(),
+        app,
+        tiny: true,
+        chunks: vec![reference],
+    };
     if let Some((seen_token, reference)) = tiny_seen.get(file.path()) {
-        if *seen_token == token {
+        if *seen_token == token && container_live.contains_key(&reference.container) {
             rec.count(Counter::TinyCarried, 1);
-            let reference = *reference;
             return DedupedFile {
-                recipe: FileRecipe {
-                    path: file.path().to_string(),
-                    app,
-                    tiny: true,
-                    chunks: vec![reference],
-                },
+                recipe: recipe(*reference),
                 stored_bytes: 0,
                 chunks_duplicate: 1,
                 disk_reads: 0,
                 cpu: Duration::ZERO,
+                sealed: Vec::new(),
             };
         }
     }
@@ -390,53 +402,324 @@ fn pack_tiny(
     rec.count(Counter::SourceBytes, data.len() as u64);
     // Tiny files are fingerprinted only for restore-time integrity
     // (container descriptors need a key); they are not indexed.
-    let ((fp, len, placement), cpu) = crate::timing::measure_cpu(|| {
+    let ((fp, placement), cpu) = crate::timing::measure_cpu(|| {
         let fp = Fingerprint::compute(aadedupe_hashing::HashAlgorithm::Sha1, &data);
-        let len = data.len();
-        let placement = append(fp, data);
-        (fp, len, placement)
+        (fp, writer.add_chunk(fp, &data))
     });
     let reference = ChunkRef {
         fingerprint: fp,
-        len: len as u32,
+        len: data.len() as u32,
         container: placement.container,
         offset: placement.offset,
     };
     tiny_seen.insert(file.path().to_string(), (token, reference));
     rec.record(Stage::TinyPack, packing);
     DedupedFile {
-        recipe: FileRecipe {
-            path: file.path().to_string(),
-            app,
-            tiny: true,
-            chunks: vec![reference],
-        },
-        stored_bytes: len as u64,
+        recipe: recipe(reference),
+        stored_bytes: data.len() as u64,
         chunks_duplicate: 0,
         disk_reads: 0,
         cpu,
+        sealed: take_sealed(writer, rec),
     }
 }
 
-/// Folds one file's dedup outcome into the session totals and the
-/// container reference counts, returning the recipe for the manifest.
-/// Both pipelines funnel every file through here, in file order.
-fn absorb(
-    out: DedupedFile,
-    report: &mut SessionReport,
-    clock: &mut DedupClock,
-    container_live: &mut HashMap<u64, u64>,
-) -> FileRecipe {
-    report.chunks_total += out.recipe.chunks.len() as u64;
-    report.chunks_duplicate += out.chunks_duplicate;
-    report.stored_bytes += out.stored_bytes;
-    report.index_disk_reads += out.disk_reads;
-    clock.charge_disk_probes(out.disk_reads);
-    clock.add_cpu(out.cpu);
-    for c in &out.recipe.chunks {
-        *container_live.entry(c.container).or_insert(0) += 1;
+/// Uploads one object, retrying transient failures under `policy` and
+/// the caller's retry `budget`. The bytes move into the store; a failed
+/// attempt hands them back for the next, so no copy is kept. Backoff is
+/// charged to the simulated transfer clock (and optionally slept);
+/// `op_seq` feeds the deterministic jitter. Exhausting the attempts or the budget, or any permanent
+/// failure, counts an upload give-up and surfaces the backend error.
+pub(crate) fn put_with_retry(
+    cloud: &CloudSim,
+    policy: &RetryPolicy,
+    rec: &Recorder,
+    key: &str,
+    mut bytes: Vec<u8>,
+    budget: &mut u32,
+    op_seq: u64,
+) -> Result<(), BackupError> {
+    let mut attempt = 1u32;
+    loop {
+        match cloud.put_returning(key, bytes) {
+            Ok(_t) => return Ok(()),
+            Err((e, back)) if e.transient && attempt < policy.max_attempts.max(1) && *budget > 0 => {
+                bytes = back;
+                *budget -= 1;
+                rec.count(Counter::UploadRetries, 1);
+                let wait = policy.backoff(attempt, op_seq);
+                cloud.charge(wait);
+                if policy.sleep && !wait.is_zero() {
+                    std::thread::sleep(wait);
+                }
+                attempt += 1;
+            }
+            Err((e, _)) => {
+                rec.count(Counter::UploadGiveups, 1);
+                return Err(BackupError::Cloud(format!(
+                    "{e} (attempt {attempt} of {})",
+                    policy.max_attempts.max(1)
+                )));
+            }
+        }
     }
-    out.recipe
+}
+
+/// Decodes every committed manifest: returns the per-container reference
+/// counts and the next session number, and hands each indexed (non-tiny)
+/// chunk reference to `indexed` — the fold `open` and recovery share.
+fn load_manifests(
+    cloud: &CloudSim,
+    cfg: &AaDedupeConfig,
+    indexed: &mut dyn FnMut(AppType, &ChunkRef),
+) -> Result<(HashMap<u64, u64>, usize), BackupError> {
+    let mut container_live = HashMap::new();
+    let mut sessions = 0;
+    for key in cloud.store().list(&format!("{}/manifests/", cfg.scheme_key)) {
+        let (bytes, _t) = cloud.get(&key)?;
+        let manifest = Manifest::decode(&bytes.ok_or(BackupError::MissingObject(key))?)?;
+        sessions = sessions.max(manifest.session as usize + 1);
+        for f in &manifest.files {
+            for c in &f.chunks {
+                *container_live.entry(c.container).or_insert(0) += 1;
+                if !f.tiny {
+                    indexed(f.app, c);
+                }
+            }
+        }
+    }
+    Ok((container_live, sessions))
+}
+
+/// Why a session stopped before its commit: the reason the engine is
+/// poisoned with, and the error the backup returns.
+type Failure = (String, BackupError);
+
+/// The main thread's side of a session: it folds outcomes into the
+/// session totals in file order and uploads every sealed container as
+/// its file is absorbed. After the first failure it uploads nothing more.
+struct Sink<'a> {
+    cloud: &'a CloudSim,
+    cfg: &'a AaDedupeConfig,
+    index: &'a AppAwareIndex,
+    report: &'a mut SessionReport,
+    clock: &'a mut DedupClock,
+    container_live: &'a mut HashMap<u64, u64>,
+    manifest: Manifest,
+    retry_budget: u32,
+    /// PUTs so far; seeds each PUT's retry jitter.
+    upload_seq: u64,
+    failed: Option<Failure>,
+}
+
+impl Sink<'_> {
+    /// Folds one file's outcome into the session totals, the container
+    /// reference counts and the manifest, then uploads its containers.
+    fn absorb(&mut self, out: DedupedFile) {
+        let report = &mut *self.report;
+        report.chunks_total += out.recipe.chunks.len() as u64;
+        report.chunks_duplicate += out.chunks_duplicate;
+        report.stored_bytes += out.stored_bytes;
+        report.index_disk_reads += out.disk_reads;
+        self.clock.charge_disk_probes(out.disk_reads);
+        self.clock.add_cpu(out.cpu);
+        for c in &out.recipe.chunks {
+            *self.container_live.entry(c.container).or_insert(0) += 1;
+        }
+        self.manifest.files.push(out.recipe);
+        for sealed in out.sealed {
+            self.upload_container(sealed);
+        }
+    }
+
+    /// Whether the session may still upload: nothing failed so far, and
+    /// the index reports no IO error. Disk-backed index partitions degrade
+    /// on local IO errors (lookups answer "absent": duplicate storage,
+    /// never corruption) instead of failing mid-pipeline, but the
+    /// session's dedup state is then untrustworthy, so nothing more may
+    /// reach the cloud.
+    fn may_upload(&mut self) -> bool {
+        if let (None, Some(why)) = (&self.failed, self.index.io_error()) {
+            self.failed =
+                Some((format!("index storage failure: {why}"), BackupError::IndexStorage(why)));
+        }
+        self.failed.is_none()
+    }
+
+    /// Uploads one sealed container unless the session stopped uploading.
+    fn upload_container(&mut self, sealed: SealedContainer) {
+        let rec = &self.cfg.recorder;
+        rec.queue_pop(Queue::Upload);
+        if !self.may_upload() {
+            return;
+        }
+        let span = rec.trace_start();
+        let uploading = rec.start();
+        let key = container_key(&self.cfg.scheme_key, sealed.id);
+        match self.put(&key, sealed.bytes) {
+            // The in-memory index already references this session's
+            // chunks; some never reached the cloud.
+            Err(e) => self.failed = Some((format!("container upload failed: {e}"), e)),
+            Ok(()) => rec.record(Stage::Upload, uploading),
+        }
+        rec.trace_complete("upload", span);
+    }
+
+    /// One PUT, counted in the report and the upload counters whether or
+    /// not it succeeds.
+    fn put(&mut self, key: &str, bytes: Vec<u8>) -> Result<(), BackupError> {
+        let rec = &self.cfg.recorder;
+        self.report.transferred_bytes += bytes.len() as u64;
+        rec.count(Counter::UploadBytes, bytes.len() as u64);
+        rec.count(Counter::UploadObjects, 1);
+        self.upload_seq += 1;
+        let budget = &mut self.retry_budget;
+        put_with_retry(self.cloud, &self.cfg.retry, rec, key, bytes, budget, self.upload_seq)
+    }
+
+    /// Absorbs every file in file order: tiny files are packed here, on
+    /// the calling thread; `big` produces every other file's outcome
+    /// (`None` only when the pipeline behind it died). `window`, when
+    /// given, learns each absorbed count. Stops at the first failure.
+    fn absorb_files(
+        &mut self,
+        files: &[&dyn SourceFile],
+        containers: &mut ContainerStore,
+        tiny_seen: &mut HashMap<String, (u64, ChunkRef)>,
+        window: Option<&Window>,
+        big: &mut dyn FnMut(usize, &dyn SourceFile, &mut ContainerStore) -> Option<DedupedFile>,
+    ) {
+        let rec = &self.cfg.recorder;
+        for (i, file) in files.iter().enumerate() {
+            let out = if file.size() < self.cfg.tiny_threshold {
+                let writer = containers.writer_mut(TINY_STREAM);
+                pack_tiny(tiny_seen, self.container_live, *file, writer, rec)
+            } else {
+                // A dead pipeline re-raises its panic when its thread
+                // scope closes, so stopping here commits nothing.
+                let Some(out) = big(i, *file, containers) else { return };
+                out
+            };
+            self.absorb(out);
+            if let Some(w) = window {
+                w.advance(i + 1);
+            }
+            if self.failed.is_some() {
+                return;
+            }
+        }
+    }
+}
+
+/// The feeder's admission window: file `i` may enter the pipeline only
+/// while `i < absorbed + size`, where `absorbed` counts the files the
+/// main thread has absorbed. The file main waits for next is always
+/// inside the window, so the window cannot deadlock the pipeline.
+struct Window {
+    size: usize,
+    /// (files absorbed, closed).
+    state: Mutex<(usize, bool)>,
+    moved: Condvar,
+}
+
+impl Window {
+    fn new(size: usize) -> Self {
+        Window { size: size.max(1), state: Mutex::new((0, false)), moved: Condvar::new() }
+    }
+
+    /// Blocks until file `i` is inside the window; false once closed.
+    fn admit(&self, i: usize) -> bool {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        while !state.1 && i >= state.0 + self.size {
+            state = self.moved.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+        !state.1
+    }
+
+    /// Records that the first `absorbed` files are absorbed.
+    fn advance(&self, absorbed: usize) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).0 = absorbed;
+        self.moved.notify_all();
+    }
+
+    /// Stops admitting files.
+    fn close(&self) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).1 = true;
+        self.moved.notify_all();
+    }
+}
+
+/// One unit of chunk+hash work: a big file's index, the file, its
+/// application, and the channel of the shard that owns that application.
+type Job<'a> = (usize, &'a dyn SourceFile, AppType, mpsc::Sender<(usize, ChunkedFile)>);
+
+/// Adds the time since `started` (`None` while recording is off) to a
+/// pipeline thread's busy or idle total.
+fn add_elapsed(total: &mut Duration, started: Option<Instant>) {
+    *total += started.map_or(Duration::ZERO, |t| t.elapsed());
+}
+
+/// A dedup shard: deduplicates one application's files in file order
+/// (`my_files` lists their indices and paths), placing unique chunks
+/// through the stream writer it owns, and hands each outcome to the main
+/// thread.
+fn run_shard(
+    index: &AppAwareIndex,
+    app: AppType,
+    my_files: &[(usize, &str)],
+    chunked: &mpsc::Receiver<(usize, ChunkedFile)>,
+    writer: &mut StreamWriter,
+    outcomes: &mpsc::Sender<(usize, DedupedFile)>,
+    rec: &Recorder,
+) {
+    let mut pending: BTreeMap<usize, ChunkedFile> = BTreeMap::new();
+    let mut next = 0usize;
+    let (mut busy, mut idle) = (Duration::ZERO, Duration::ZERO);
+    loop {
+        let waiting = rec.start();
+        let Ok((i, cf)) = chunked.recv() else { break };
+        rec.queue_pop(Queue::Shards);
+        add_elapsed(&mut idle, waiting);
+        let working = rec.start();
+        pending.insert(i, cf);
+        while let Some(&(want, path)) = my_files.get(next) {
+            let Some(cf) = pending.remove(&want) else { break };
+            let span = rec.trace_start();
+            let out = dedupe_chunks(index, path, app, cf, writer, rec);
+            rec.trace_complete("dedupe", span);
+            if outcomes.send((want, out)).is_err() {
+                break;
+            }
+            next += 1;
+        }
+        add_elapsed(&mut busy, working);
+    }
+    rec.worker_report(WorkerRole::Shard, app.tag() as usize - 1, busy, idle);
+}
+
+/// A chunk+hash worker: reads, chunks and hashes the files it pulls off
+/// the job queue and hands each to its application's shard.
+fn run_worker(cfg: &AaDedupeConfig, jobs: &Mutex<mpsc::Receiver<Job<'_>>>, id: usize) {
+    let rec = &cfg.recorder;
+    let (mut busy, mut idle) = (Duration::ZERO, Duration::ZERO);
+    loop {
+        let waiting = rec.start();
+        // aalint: allow(blocking-under-lock) -- spmc handoff: the mutex exists only to share the receiver; holding it across recv() is the protocol
+        let job = jobs.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok((i, file, app, shard)) = job else { break };
+        rec.queue_pop(Queue::Jobs);
+        add_elapsed(&mut idle, waiting);
+        let working = rec.start();
+        let span = rec.trace_start();
+        let cf = chunk_and_hash(cfg, app, file);
+        rec.trace_complete("chunk_hash", span);
+        add_elapsed(&mut busy, working);
+        rec.queue_push(Queue::Shards);
+        if shard.send((i, cf)).is_err() {
+            break;
+        }
+    }
+    rec.worker_report(WorkerRole::Chunker, id, busy, idle);
 }
 
 impl AaDedupe {
@@ -488,27 +771,14 @@ impl AaDedupe {
     /// A fresh namespace yields a fresh engine.
     pub fn open(cloud: CloudSim, config: AaDedupeConfig) -> Result<Self, BackupError> {
         let mut engine = Self::with_config(cloud, config);
-        let prefix = format!("{}/manifests/", engine.config.scheme_key);
-        let manifest_keys = engine.cloud.store().list(&prefix);
-        let mut max_session: Option<u64> = None;
-        for key in &manifest_keys {
-            let (bytes, _t) = engine.cloud.get(key)?;
-            let bytes = bytes.ok_or_else(|| BackupError::MissingObject(key.clone()))?;
-            let manifest = Manifest::decode(&bytes)?;
-            max_session = Some(max_session.map_or(manifest.session, |m| m.max(manifest.session)));
-            for f in &manifest.files {
-                for c in &f.chunks {
-                    *engine.container_live.entry(c.container).or_insert(0) += 1;
-                    if !f.tiny {
-                        engine.index.partition(f.app).bump_or_insert(
-                            c.fingerprint,
-                            ChunkEntry::new(c.len as u64, c.container, c.offset),
-                        );
-                    }
-                }
-            }
-        }
-        engine.sessions = max_session.map_or(0, |m| m as usize + 1);
+        let index = &engine.index;
+        let (live, sessions) = load_manifests(&engine.cloud, &engine.config, &mut |app, c| {
+            index.partition(app).bump_or_insert(
+                c.fingerprint,
+                ChunkEntry::new(c.len as u64, c.container, c.offset),
+            );
+        })?;
+        (engine.container_live, engine.sessions) = (live, sessions);
         // Resume ids over *everything* in the namespace — orphans included —
         // before sweeping, so a resumed engine never re-mints an id that was
         // ever visible in the cloud.
@@ -610,14 +880,23 @@ impl AaDedupe {
     }
 
     /// One session's size filter + chunk + dedup dataflow, serial or
-    /// parallel per the pipeline config. Both paths yield identical
-    /// manifests, containers, index state, and counters.
+    /// parallel per the pipeline config, and its commit. Both paths yield
+    /// identical manifests, containers, index state, counters and PUT
+    /// sequences.
+    ///
+    /// Commit protocol: each container is uploaded as its file is
+    /// absorbed, the tail seals after the last file; then the manifest —
+    /// the commit point — then the index snapshot. A session whose uploads
+    /// stopped never reaches its manifest: the containers it did upload
+    /// are orphans, which the sweep in `open` reclaims. The engine is then
+    /// poisoned, since its in-memory index holds this session's inserts
+    /// with nothing committed behind them.
     fn run_session(
         &mut self,
         files: &[&dyn SourceFile],
         report: &mut SessionReport,
         clock: &mut DedupClock,
-    ) -> Manifest {
+    ) -> Result<(), BackupError> {
         report.files_total += files.len() as u64;
         for f in files {
             report.logical_bytes += f.size();
@@ -626,315 +905,73 @@ impl AaDedupe {
             }
         }
         self.config.recorder.count(Counter::FilesClassified, files.len() as u64);
-        if self.config.pipeline.parallel() {
-            self.run_session_parallel(files, report, clock)
+        let AaDedupe { config: cfg, cloud, index, containers, tiny_seen, container_live, .. } = self;
+        let mut sink = Sink {
+            cloud,
+            cfg,
+            index,
+            report,
+            clock,
+            container_live,
+            manifest: Manifest::new(self.sessions as u64),
+            retry_budget: cfg.retry.session_retry_budget,
+            upload_seq: 0,
+            failed: None,
+        };
+        if cfg.pipeline.parallel() {
+            run_parallel(&mut sink, files, containers, tiny_seen);
         } else {
-            self.run_session_serial(files, report, clock)
-        }
-    }
-
-    /// The serial path: one thread does everything, in file order.
-    fn run_session_serial(
-        &mut self,
-        files: &[&dyn SourceFile],
-        report: &mut SessionReport,
-        clock: &mut DedupClock,
-    ) -> Manifest {
-        let mut manifest = Manifest::new(self.sessions as u64);
-        let cfg = &self.config;
-        let rec = &cfg.recorder;
-        let index = &self.index;
-        let containers = &mut self.containers;
-        let tiny_seen = &mut self.tiny_seen;
-        let container_live = &mut self.container_live;
-        for file in files {
-            let span = rec.trace_start();
-            let out = if file.size() < cfg.tiny_threshold {
-                pack_tiny(
-                    tiny_seen,
-                    *file,
-                    &mut |fp, bytes| containers.add_chunk(TINY_STREAM, fp, &bytes),
-                    rec,
-                )
-            } else {
+            let rec = &cfg.recorder;
+            sink.absorb_files(files, containers, tiny_seen, None, &mut |_, file, containers| {
+                let span = rec.trace_start();
                 let classify = rec.start();
                 let app = file.app_type();
                 rec.record(Stage::Classify, classify);
-                let data = file.read();
-                rec.count(Counter::SourceBytes, data.len() as u64);
-                let chunked =
-                    chunk_and_hash(&cfg.policy, cfg.sc_chunk_size, cfg.cdc_for(app), app, &data, rec);
-                dedupe_chunks(index, file.path(), app, chunked, &mut |fp, bytes| {
-                    containers.add_chunk(app.tag() as u32, fp, &bytes)
-                })
-            };
-            rec.trace_complete("file", span);
-            manifest.files.push(absorb(out, report, clock, container_live));
+                let chunked = chunk_and_hash(cfg, app, file);
+                let writer = containers.writer_mut(app.tag() as u32);
+                let out = dedupe_chunks(index, file.path(), app, chunked, writer, rec);
+                rec.trace_complete("file", span);
+                Some(out)
+            });
         }
-        manifest
-    }
-
-    /// The parallel pipeline (see the module docs for the dataflow and
-    /// the determinism argument).
-    fn run_session_parallel(
-        &mut self,
-        files: &[&dyn SourceFile],
-        report: &mut SessionReport,
-        clock: &mut DedupClock,
-    ) -> Manifest {
-        let session = self.sessions as u64;
-        let cfg = &self.config;
+        containers.seal_all();
+        for sealed in containers.drain_sealed() {
+            cfg.recorder.queue_push(Queue::Upload);
+            sink.upload_container(sealed);
+        }
+        // Every byte of the dataset is read once from the source disk.
+        sink.clock.charge_source_read(sink.report.logical_bytes);
         let rec = &cfg.recorder;
-        let index = &self.index;
-        let tiny_seen = &mut self.tiny_seen;
-        let container_live = &mut self.container_live;
-        let workers = cfg.pipeline.workers.max(1);
-        let queue_depth = cfg.pipeline.queue_depth.max(1);
-        let tiny_threshold = cfg.tiny_threshold;
-
-        // Big-file indices grouped per application (file order preserved):
-        // each group is one shard thread's work list.
-        let mut by_app: Vec<Vec<usize>> = AppType::ALL.iter().map(|_| Vec::new()).collect();
-        for (i, f) in files.iter().enumerate() {
-            if f.size() >= tiny_threshold {
-                // aalint: allow(panic-path) -- AppType tags are 1..=ALL.len() by construction; by_app has one slot per variant
-                by_app[(f.app_type().tag() - 1) as usize].push(i);
+        let upload_span = rec.trace_start();
+        if sink.may_upload() {
+            let uploading = rec.start();
+            let key = Manifest::key(&cfg.scheme_key, sink.manifest.session);
+            match sink.put(&key, sink.manifest.encode()) {
+                Err(e) => sink.failed = Some((format!("manifest upload failed: {e}"), e)),
+                Ok(()) => rec.record(Stage::Upload, uploading),
             }
         }
-        let big_order: Vec<usize> =
-            // aalint: allow(panic-path) -- i ranges over 0..files.len()
-            (0..files.len()).filter(|&i| files[i].size() >= tiny_threshold).collect();
-        let n_big = big_order.len();
-
-        // The appender thread owns the store for the session's duration.
-        let store =
-            std::mem::replace(&mut self.containers, ContainerStore::new(cfg.container_size));
-
-        let (job_tx, job_rx) = mpsc::sync_channel::<usize>(workers * queue_depth);
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let (append_tx, append_rx) = mpsc::channel::<AppendReq>();
-        let (out_tx, out_rx) = mpsc::channel::<(usize, DedupedFile)>();
-
-        // One bounded channel per application shard with work.
-        let mut shard_txs: Vec<Option<mpsc::SyncSender<(usize, ChunkedFile)>>> =
-            (0..AppType::ALL.len()).map(|_| None).collect();
-        let mut shard_rxs: Vec<Option<mpsc::Receiver<(usize, ChunkedFile)>>> =
-            (0..AppType::ALL.len()).map(|_| None).collect();
-        for (tag_idx, group) in by_app.iter().enumerate() {
-            if !group.is_empty() {
-                let (tx, rx) = mpsc::sync_channel(queue_depth);
-                // aalint: allow(panic-path) -- tag_idx < AppType::ALL.len() = shard_txs.len() via enumerate over by_app
-                shard_txs[tag_idx] = Some(tx);
-                // aalint: allow(panic-path) -- same enumerate bound as the line above
-                shard_rxs[tag_idx] = Some(rx);
-            }
+        if let Some((why, e)) = sink.failed.take() {
+            self.poisoned = Some(why);
+            return Err(e);
         }
-
-        let (mut tiny_out, mut big_out, store) = std::thread::scope(|scope| {
-            // Single-writer appender: the only thread touching the store.
-            let appender = scope.spawn(move || {
-                let mut store = store;
-                let (mut busy, mut idle) = (Duration::ZERO, Duration::ZERO);
-                loop {
-                    let waiting = rec.start();
-                    let Ok(req) = append_rx.recv() else { break };
-                    rec.queue_pop(Queue::Appender);
-                    if let Some(w) = waiting {
-                        idle += w.elapsed();
-                    }
-                    let working = rec.start();
-                    let placement = store.add_chunk(req.stream, req.fp, &req.bytes);
-                    // aalint: allow(swallowed-result) -- a shard that already panicked dropped its reply receiver; the appender must keep serving the other shards
-                    let _ = req.reply.send(placement);
-                    if let Some(w) = working {
-                        busy += w.elapsed();
-                    }
-                }
-                rec.worker_report(WorkerRole::Appender, 0, busy, idle);
-                store
-            });
-
-            // Dedup shards: one per application with work; each processes
-            // its own files in file order via a reorder buffer.
-            for (tag_idx, rx) in shard_rxs.into_iter().enumerate() {
-                let Some(rx) = rx else { continue };
-                // aalint: allow(panic-path) -- enumerate over shard_rxs, sized to AppType::ALL.len()
-                let app = AppType::ALL[tag_idx];
-                // aalint: allow(panic-path) -- same enumerate bound as the line above
-                let my_files = std::mem::take(&mut by_app[tag_idx]);
-                let append_tx = append_tx.clone();
-                let out_tx = out_tx.clone();
-                scope.spawn(move || {
-                    let (reply_tx, reply_rx) = mpsc::channel::<Placement>();
-                    let mut pending: BTreeMap<usize, ChunkedFile> = BTreeMap::new();
-                    let mut next = 0usize;
-                    let (mut busy, mut idle) = (Duration::ZERO, Duration::ZERO);
-                    while next < my_files.len() {
-                        let waiting = rec.start();
-                        // aalint: allow(unwrap-in-lib) -- scoped-thread topology: chunk workers hold the senders until every shard drains; closure here is a harness bug worth a loud panic
-                        let (i, cf) = rx.recv().expect("workers outlive shard backlog");
-                        rec.queue_pop(Queue::Shards);
-                        if let Some(w) = waiting {
-                            idle += w.elapsed();
-                        }
-                        let working = rec.start();
-                        pending.insert(i, cf);
-                        while next < my_files.len() {
-                            // aalint: allow(panic-path) -- next < my_files.len() is the loop guard
-                            let want = my_files[next];
-                            let Some(cf) = pending.remove(&want) else { break };
-                            let span = rec.trace_start();
-                            let out = dedupe_chunks(
-                                index,
-                                // aalint: allow(panic-path) -- want came from enumerate over files
-                                files[want].path(),
-                                app,
-                                cf,
-                                &mut |fp, bytes| {
-                                    rec.queue_push(Queue::Appender);
-                                    append_tx
-                                        .send(AppendReq {
-                                            stream: app.tag() as u32,
-                                            fp,
-                                            bytes,
-                                            reply: reply_tx.clone(),
-                                        })
-                                        .expect("appender outlives shards"); // aalint: allow(unwrap-in-lib) -- appender joins only after every shard sender drops
-                                    reply_rx.recv().expect("appender replies") // aalint: allow(unwrap-in-lib) -- appender replies to every request before servicing the next
-                                },
-                            );
-                            rec.trace_complete("dedupe", span);
-                            // aalint: allow(unwrap-in-lib) -- main thread holds out_rx open for the whole scope
-                            out_tx.send((want, out)).expect("main collects outcomes");
-                            next += 1;
-                        }
-                        if let Some(w) = working {
-                            busy += w.elapsed();
-                        }
-                    }
-                    rec.worker_report(WorkerRole::Shard, tag_idx, busy, idle);
-                });
+        // Periodic index synchronisation. The manifest is committed, so
+        // the session is durable and the engine's state matches the cloud;
+        // the snapshot is only a recovery accelerator, and its failure
+        // counts the session and surfaces without poisoning.
+        self.sessions += 1;
+        if cfg.index_sync_interval > 0 && self.sessions.is_multiple_of(cfg.index_sync_interval) {
+            let uploading = rec.start();
+            let key = format!("{}/index/{:08}", cfg.scheme_key, self.sessions - 1);
+            if let Err(e) = sink.put(&key, codec::encode_app_aware(index)) {
+                return Err(BackupError::Cloud(format!(
+                    "session committed, but index snapshot upload failed: {e}"
+                )));
             }
-            drop(out_tx); // shards hold the remaining clones
-
-            // Chunk+hash workers: pull file indices, push chunked files to
-            // the owning shard.
-            for w in 0..workers {
-                let job_rx = Arc::clone(&job_rx);
-                let shard_txs: Vec<Option<mpsc::SyncSender<(usize, ChunkedFile)>>> =
-                    shard_txs.clone();
-                scope.spawn(move || {
-                    let (mut busy, mut idle) = (Duration::ZERO, Duration::ZERO);
-                    loop {
-                        let waiting = rec.start();
-                        // aalint: allow(blocking-under-lock) -- spmc handoff: the mutex exists only to share the receiver; holding it across recv() is the protocol
-                        let i = match job_rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner).recv() {
-                            Ok(i) => i,
-                            Err(_) => break,
-                        };
-                        rec.queue_pop(Queue::Jobs);
-                        if let Some(t) = waiting {
-                            idle += t.elapsed();
-                        }
-                        let working = rec.start();
-                        let span = rec.trace_start();
-                        // aalint: allow(panic-path) -- i came from enumerate over files, relayed through the job channel
-                        let file = files[i];
-                        let classify = rec.start();
-                        let app = file.app_type();
-                        rec.record(Stage::Classify, classify);
-                        let data = file.read();
-                        rec.count(Counter::SourceBytes, data.len() as u64);
-                        let cf = chunk_and_hash(
-                            &cfg.policy,
-                            cfg.sc_chunk_size,
-                            cfg.cdc_for(app),
-                            app,
-                            &data,
-                            rec,
-                        );
-                        rec.trace_complete("chunk_hash", span);
-                        if let Some(t) = working {
-                            busy += t.elapsed();
-                        }
-                        rec.queue_push(Queue::Shards);
-                        // aalint: allow(panic-path) -- AppType tags are 1..=ALL.len(); shard_txs has one slot per variant
-                        shard_txs[(app.tag() - 1) as usize]
-                            .as_ref()
-                            .expect("shard exists for routed app") // aalint: allow(unwrap-in-lib) -- a shard thread was spawned for every app with routed work
-                            .send((i, cf))
-                            .expect("shard outlives its backlog"); // aalint: allow(unwrap-in-lib) -- shard loops until its full backlog arrives, so the receiver cannot close first
-                    }
-                    rec.worker_report(WorkerRole::Chunker, w, busy, idle);
-                });
-            }
-            drop(shard_txs); // workers hold the remaining clones
-
-            // Feeder: bounded job queue, closed when exhausted.
-            scope.spawn(move || {
-                for i in big_order {
-                    rec.queue_push(Queue::Jobs);
-                    if job_tx.send(i).is_err() {
-                        return;
-                    }
-                }
-            });
-
-            // Main thread: tiny files in file order, through the appender.
-            let mut tiny_out: BTreeMap<usize, DedupedFile> = BTreeMap::new();
-            {
-                let (reply_tx, reply_rx) = mpsc::channel::<Placement>();
-                for (i, file) in files.iter().enumerate() {
-                    if file.size() < tiny_threshold {
-                        let out = pack_tiny(
-                            tiny_seen,
-                            *file,
-                            &mut |fp, bytes| {
-                                rec.queue_push(Queue::Appender);
-                                append_tx
-                                    .send(AppendReq {
-                                        stream: TINY_STREAM,
-                                        fp,
-                                        bytes,
-                                        reply: reply_tx.clone(),
-                                    })
-                                    .expect("appender outlives tiny packing"); // aalint: allow(unwrap-in-lib) -- append_tx drops only after this loop
-                                reply_rx.recv().expect("appender replies") // aalint: allow(unwrap-in-lib) -- appender replies to every request before servicing the next
-                            },
-                            rec,
-                        );
-                        tiny_out.insert(i, out);
-                    }
-                }
-            }
-            drop(append_tx); // appender exits once shards finish too
-
-            // Collect shard outcomes; the channel closes when every shard
-            // has drained its work list.
-            let mut big_out: BTreeMap<usize, DedupedFile> = BTreeMap::new();
-            for (i, out) in out_rx.iter() {
-                big_out.insert(i, out);
-            }
-            debug_assert_eq!(big_out.len(), n_big);
-
-            // aalint: allow(unwrap-in-lib) -- re-raising an appender panic at scope exit is the intended failure mode
-            let store = appender.join().expect("appender thread panicked");
-            (tiny_out, big_out, store)
-        });
-        self.containers = store;
-
-        // Merge in file order — identical to the serial loop.
-        let mut manifest = Manifest::new(session);
-        for (i, file) in files.iter().enumerate() {
-            let out = if file.size() < tiny_threshold {
-                tiny_out.remove(&i)
-            } else {
-                big_out.remove(&i)
-            }
-            .expect("every file produced an outcome"); // aalint: allow(unwrap-in-lib) -- each file was routed to exactly one of the two outcome maps above
-            manifest.files.push(absorb(out, report, clock, container_live));
+            rec.record(Stage::Upload, uploading);
         }
-        manifest
+        rec.trace_complete("upload", upload_span);
+        Ok(())
     }
 
     /// Checks that every container `manifest` references has a live
@@ -1070,34 +1107,16 @@ impl AaDedupe {
         // Reconcile against the manifests: exact per-app entries (first
         // placement wins, one refcount per reference — the same fold as
         // `open`) and exact per-container live counts.
-        let mut live: Vec<BTreeMap<Fingerprint, ChunkEntry>> =
-            AppType::ALL.iter().map(|_| BTreeMap::new()).collect();
-        let mut container_live: HashMap<u64, u64> = HashMap::new();
-        let mut max_session: Option<u64> = None;
-        let prefix = format!("{}/manifests/", self.config.scheme_key);
-        for key in self.cloud.store().list(&prefix) {
-            let (bytes, _t) = self.cloud.get(&key)?;
-            let bytes = bytes.ok_or_else(|| BackupError::MissingObject(key.clone()))?;
-            let manifest = Manifest::decode(&bytes)?;
-            max_session = Some(max_session.map_or(manifest.session, |m| m.max(manifest.session)));
-            for f in &manifest.files {
-                for c in &f.chunks {
-                    *container_live.entry(c.container).or_insert(0) += 1;
-                    if !f.tiny {
-                        // aalint: allow(panic-path) -- AppType tags are 1..=ALL.len(); live has one map per variant
-                        live[(f.app.tag() - 1) as usize]
-                            .entry(c.fingerprint)
-                            .and_modify(|e| e.refcount = e.refcount.saturating_add(1))
-                            .or_insert_with(|| {
-                                ChunkEntry::new(c.len as u64, c.container, c.offset)
-                            });
-                    }
-                }
-            }
-        }
-        for (i, app) in AppType::ALL.iter().enumerate() {
-            // aalint: allow(panic-path) -- enumerate over AppType::ALL, live is sized to it
-            self.index.partition(*app).reconcile(std::mem::take(&mut live[i]));
+        let mut live: BTreeMap<AppType, BTreeMap<Fingerprint, ChunkEntry>> = BTreeMap::new();
+        let (container_live, sessions) = load_manifests(&self.cloud, &self.config, &mut |app, c| {
+            live.entry(app)
+                .or_default()
+                .entry(c.fingerprint)
+                .and_modify(|e| e.refcount = e.refcount.saturating_add(1))
+                .or_insert_with(|| ChunkEntry::new(c.len as u64, c.container, c.offset));
+        })?;
+        for app in AppType::ALL {
+            self.index.partition(app).reconcile(live.remove(&app).unwrap_or_default());
         }
         self.container_live = container_live;
         // Post-recovery state matches the cloud exactly, so the stale
@@ -1114,51 +1133,9 @@ impl AaDedupe {
         // The session counter must survive the disaster too: continue after
         // the last committed manifest, exactly as `open` does. Without this
         // the next backup would reuse session 0 and clobber its manifest.
-        self.sessions = max_session.map_or(0, |m| m as usize + 1);
+        self.sessions = sessions;
         self.resume_container_ids();
         Ok(())
-    }
-}
-
-impl AaDedupe {
-    /// Uploads one object, retrying transient failures under the
-    /// configured [`RetryPolicy`] and per-session retry `budget`. Backoff
-    /// is charged to the simulated transfer clock (and optionally slept);
-    /// `op_seq` feeds the deterministic jitter. Exhausting the attempts or
-    /// the budget, or any permanent failure, counts an upload give-up and
-    /// surfaces the backend error.
-    pub(crate) fn put_with_retry(
-        &self,
-        key: &str,
-        bytes: &[u8],
-        budget: &mut u32,
-        op_seq: u64,
-    ) -> Result<(), BackupError> {
-        let rec = &self.config.recorder;
-        let policy = &self.config.retry;
-        let mut attempt = 1u32;
-        loop {
-            match self.cloud.put(key, bytes.to_vec()) {
-                Ok(_t) => return Ok(()),
-                Err(e) if e.transient && attempt < policy.max_attempts.max(1) && *budget > 0 => {
-                    *budget -= 1;
-                    rec.count(Counter::UploadRetries, 1);
-                    let wait = policy.backoff(attempt, op_seq);
-                    self.cloud.charge(wait);
-                    if policy.sleep && !wait.is_zero() {
-                        std::thread::sleep(wait);
-                    }
-                    attempt += 1;
-                }
-                Err(e) => {
-                    rec.count(Counter::UploadGiveups, 1);
-                    return Err(BackupError::Cloud(format!(
-                        "{e} (attempt {attempt} of {})",
-                        policy.max_attempts.max(1)
-                    )));
-                }
-            }
-        }
     }
 }
 
@@ -1184,88 +1161,7 @@ impl BackupScheme for AaDedupe {
         let wan_before = self.cloud.elapsed();
         let puts_before = self.cloud.store().stats();
 
-        let manifest = self.run_session(files, &mut report, &mut clock);
-        // Every byte of the dataset is read once from the source disk.
-        clock.charge_source_read(report.logical_bytes);
-
-        // Disk-backed index partitions degrade on local IO errors (lookups
-        // answer "absent": duplicate storage, never corruption) instead of
-        // failing mid-pipeline. An errored session's dedup state is
-        // untrustworthy though, so refuse to commit anything to the cloud
-        // — and poison the instance, since the in-memory index now holds
-        // this session's inserts with nothing committed behind them.
-        if let Some(why) = self.index.io_error() {
-            self.poisoned = Some(format!("index storage failure: {why}"));
-            return Err(BackupError::IndexStorage(why));
-        }
-
-        // Commit protocol: containers first (in id order, so the upload
-        // sequence does not depend on stream sealing order), then the
-        // manifest — the commit point — then the index snapshot. A crash
-        // before the manifest leaves only orphan containers, which the
-        // sweep in `open` reclaims; a crash after it leaves a fully
-        // restorable session.
-        self.containers.seal_all();
-        let mut sealed = self.containers.drain_sealed();
-        sealed.sort_by_key(|s| s.id);
-        let upload_span = rec.trace_start();
-        let mut retry_budget = self.config.retry.session_retry_budget;
-        let mut upload_seq = 0u64;
-        for sealed in sealed {
-            let uploading = rec.start();
-            let key = container_key(&self.config.scheme_key, sealed.id);
-            report.transferred_bytes += sealed.bytes.len() as u64;
-            rec.count(Counter::UploadBytes, sealed.bytes.len() as u64);
-            rec.count(Counter::UploadObjects, 1);
-            upload_seq += 1;
-            if let Err(e) = self.put_with_retry(&key, &sealed.bytes, &mut retry_budget, upload_seq)
-            {
-                // The in-memory index already references this session's
-                // chunks; some never reached the cloud. Refuse further
-                // backups from this instance.
-                self.poisoned = Some(format!("container upload failed: {e}"));
-                return Err(e);
-            }
-            rec.record(Stage::Upload, uploading);
-        }
-        // Ship the manifest — the commit point.
-        let uploading = rec.start();
-        let mbytes = manifest.encode();
-        report.transferred_bytes += mbytes.len() as u64;
-        rec.count(Counter::UploadBytes, mbytes.len() as u64);
-        rec.count(Counter::UploadObjects, 1);
-        upload_seq += 1;
-        let mkey = Manifest::key(&self.config.scheme_key, manifest.session);
-        if let Err(e) = self.put_with_retry(&mkey, &mbytes, &mut retry_budget, upload_seq) {
-            self.poisoned = Some(format!("manifest upload failed: {e}"));
-            return Err(e);
-        }
-        rec.record(Stage::Upload, uploading);
-        // Periodic index synchronisation.
-        if self.config.index_sync_interval > 0
-            && (self.sessions + 1).is_multiple_of(self.config.index_sync_interval)
-        {
-            let uploading = rec.start();
-            let snap = codec::encode_app_aware(&self.index);
-            report.transferred_bytes += snap.len() as u64;
-            rec.count(Counter::UploadBytes, snap.len() as u64);
-            rec.count(Counter::UploadObjects, 1);
-            upload_seq += 1;
-            let skey = format!("{}/index/{:08}", self.config.scheme_key, self.sessions);
-            if let Err(e) = self.put_with_retry(&skey, &snap, &mut retry_budget, upload_seq) {
-                // The manifest is committed, so the session is durable and
-                // the engine's state matches the cloud; the snapshot is only
-                // a recovery accelerator. Count the session and surface the
-                // failure without poisoning.
-                self.sessions += 1;
-                return Err(BackupError::Cloud(format!(
-                    "session committed, but index snapshot upload failed: {e}"
-                )));
-            }
-            rec.record(Stage::Upload, uploading);
-        }
-        rec.trace_complete("upload", upload_span);
-
+        self.run_session(files, &mut report, &mut clock)?;
         let put_delta = self.cloud.store().stats().put_requests - puts_before.put_requests;
         report.put_requests = put_delta;
         report.dedup_cpu = match obs_before {
@@ -1291,7 +1187,6 @@ impl BackupScheme for AaDedupe {
         };
         report.transfer_time = self.cloud.elapsed() - wan_before;
         rec.trace_complete("session", session_span);
-        self.sessions += 1;
         Ok(report)
     }
 
@@ -1308,6 +1203,94 @@ impl BackupScheme for AaDedupe {
 
     fn sessions_completed(&self) -> usize {
         self.sessions
+    }
+}
+
+/// The parallel pipeline (see the module docs for the dataflow, the
+/// determinism argument and the admission window). Application streams'
+/// writers are lent to their shards for the session and merged back.
+fn run_parallel(
+    sink: &mut Sink<'_>,
+    files: &[&dyn SourceFile],
+    containers: &mut ContainerStore,
+    tiny_seen: &mut HashMap<String, (u64, ChunkRef)>,
+) {
+    let cfg = sink.cfg;
+    let index = sink.index;
+    let rec = &cfg.recorder;
+    let workers = cfg.pipeline.workers.max(1);
+    let window = Window::new(workers * cfg.pipeline.queue_depth.max(1));
+
+    // One job per big file, in file order, addressed to the shard of its
+    // application; each shard's work list is its files in file order.
+    type Chunked = (usize, ChunkedFile);
+    type Shard<'f> = (mpsc::Sender<Chunked>, mpsc::Receiver<Chunked>, Vec<(usize, &'f str)>);
+    let mut by_app: BTreeMap<AppType, Shard<'_>> = BTreeMap::new();
+    let mut jobs: Vec<Job<'_>> = Vec::new();
+    for (i, file) in files.iter().enumerate() {
+        if file.size() >= cfg.tiny_threshold {
+            let classify = rec.start();
+            let app = file.app_type();
+            rec.record(Stage::Classify, classify);
+            let (tx, _, my_files) = by_app.entry(app).or_insert_with(|| {
+                let (tx, rx) = mpsc::channel();
+                (tx, rx, Vec::new())
+            });
+            my_files.push((i, file.path()));
+            jobs.push((i, *file, app, tx.clone()));
+        }
+    }
+
+    let (job_tx, job_rx) = mpsc::channel::<Job<'_>>();
+    let job_rx = Mutex::new(job_rx);
+    let (out_tx, out_rx) = mpsc::channel::<(usize, DedupedFile)>();
+    let mut pending: BTreeMap<usize, DedupedFile> = BTreeMap::new();
+    std::thread::scope(|scope| {
+        let mut shards = Vec::new();
+        // The jobs hold the only senders, so a shard's channel closes once
+        // the workers are done with its files.
+        for (app, (_, rx, my_files)) in by_app {
+            let mut writer = containers.lend(u32::from(app.tag()));
+            let out_tx = out_tx.clone();
+            shards.push(scope.spawn(move || {
+                run_shard(index, app, &my_files, &rx, &mut writer, &out_tx, rec);
+                writer
+            }));
+        }
+        drop(out_tx);
+        for id in 0..workers {
+            let job_rx = &job_rx;
+            scope.spawn(move || run_worker(cfg, job_rx, id));
+        }
+        let window = &window;
+        scope.spawn(move || {
+            for job in jobs.into_iter().take_while(|job| window.admit(job.0)) {
+                rec.queue_push(Queue::Jobs);
+                if job_tx.send(job).is_err() {
+                    break;
+                }
+            }
+        });
+
+        sink.absorb_files(files, containers, tiny_seen, Some(window), &mut |i, _, _| loop {
+            if let Some(out) = pending.remove(&i) {
+                return Some(out);
+            }
+            let (j, out) = out_rx.recv().ok()?;
+            pending.insert(j, out);
+        });
+        // Releases the feeder if the uploads stopped early; a no-op once
+        // it admitted every file.
+        window.close();
+        for shard in shards {
+            containers.merge(shard.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+    });
+    // Outcomes left behind by a failed session are dropped, not uploaded.
+    for out in pending.into_values().chain(out_rx.try_iter().map(|(_, out)| out)) {
+        for _ in out.sealed {
+            rec.queue_pop(Queue::Upload);
+        }
     }
 }
 
@@ -1568,6 +1551,21 @@ mod tests {
         let restored = e.restore_session(1).unwrap();
         assert_eq!(restored[0].data, files1[0].data);
         assert!(e.cloud().store().object_count() < objects_after_0 + 4);
+    }
+
+    #[test]
+    fn tiny_file_returning_after_its_session_was_deleted_is_repacked() {
+        let mut e = engine();
+        let a = mem("notes/a.txt", vec![b'a'; 300]);
+        let b = mem("notes/b.txt", vec![b'b'; 300]);
+        e.backup_session(&sources(std::slice::from_ref(&a))).unwrap();
+        e.backup_session(&sources(std::slice::from_ref(&b))).unwrap();
+        e.delete_session(0).unwrap();
+        // Session 0's tiny container is gone, so `a` cannot be carried
+        // forward by reference into it.
+        let r = e.backup_session(&sources(std::slice::from_ref(&a))).unwrap();
+        assert_eq!(r.stored_bytes, 300);
+        assert_eq!(e.restore_session(2).unwrap()[0].data, a.data);
     }
 
     #[test]

@@ -50,7 +50,7 @@ use aadedupe_container::{
 use aadedupe_hashing::Fingerprint;
 use aadedupe_obs::{Counter, Stage};
 
-use crate::engine::AaDedupe;
+use crate::engine::{put_with_retry, AaDedupe};
 use crate::recipe::Manifest;
 use crate::restore::container_key;
 use crate::scheme::BackupError;
@@ -380,14 +380,16 @@ impl AaDedupe {
         let committing = rec.start();
         let mut retry_budget = self.config.retry.session_retry_budget;
         let mut op_seq = 0u64;
-        for (id, bytes) in &new_containers {
+        let retry = &self.config.retry;
+        for (id, bytes) in new_containers {
             op_seq += 1;
             rec.count(Counter::UploadBytes, bytes.len() as u64);
             rec.count(Counter::UploadObjects, 1);
             // A failure here leaves only orphan containers (no manifest
             // references them yet) and no in-memory mutation: the engine
             // remains fully usable and a rerun converges.
-            self.put_with_retry(&container_key(&scheme, *id), bytes, &mut retry_budget, op_seq)?;
+            let key = container_key(&scheme, id);
+            put_with_retry(&self.cloud, retry, &rec, &key, bytes, &mut retry_budget, op_seq)?;
         }
         for session in &dirty_manifests {
             // aalint: allow(panic-path) -- dirty_manifests holds keys of manifests by construction
@@ -399,7 +401,8 @@ impl AaDedupe {
             // A failure mid-way mixes old and new pointers across
             // manifests; both container generations still exist, so every
             // session stays restorable and in-memory state is untouched.
-            self.put_with_retry(&Manifest::key(&scheme, *session), &bytes, &mut retry_budget, op_seq)?;
+            let key = Manifest::key(&scheme, *session);
+            put_with_retry(&self.cloud, retry, &rec, &key, bytes, &mut retry_budget, op_seq)?;
         }
 
         // Manifests are fully rewritten — the pass is committed. Apply the
@@ -416,7 +419,9 @@ impl AaDedupe {
         rec.count(Counter::UploadBytes, snap.len() as u64);
         rec.count(Counter::UploadObjects, 1);
         let skey = format!("{scheme}/index/{:08}", self.sessions);
-        if let Err(e) = self.put_with_retry(&skey, &snap, &mut retry_budget, op_seq) {
+        let retry = &self.config.retry;
+        let uploaded = put_with_retry(&self.cloud, retry, &rec, &skey, snap, &mut retry_budget, op_seq);
+        if let Err(e) = uploaded {
             rec.record(Stage::VacuumCommit, committing);
             return Err(BackupError::Cloud(format!(
                 "vacuum committed, but index snapshot upload failed: {e}"

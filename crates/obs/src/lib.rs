@@ -261,8 +261,10 @@ pub enum Queue {
     Jobs,
     /// Workers → per-application dedup shards (aggregated over shards).
     Shards,
-    /// Shards/tiny-packer → single-writer appender backlog.
-    Appender,
+    /// Sealed containers waiting for upload: pushed when a file's
+    /// placements seal a container, popped when the main thread has
+    /// uploaded it (or dropped it after a failed upload).
+    Upload,
     /// Containers resident in the restore assembler's bounded cache — the
     /// high-water mark proves the O(cache) restore memory bound.
     RestoreCache,
@@ -271,14 +273,14 @@ pub enum Queue {
 impl Queue {
     /// Every queue.
     pub const ALL: [Queue; 4] =
-        [Queue::Jobs, Queue::Shards, Queue::Appender, Queue::RestoreCache];
+        [Queue::Jobs, Queue::Shards, Queue::Upload, Queue::RestoreCache];
 
     /// Stable snake_case name (the JSON key).
     pub const fn name(self) -> &'static str {
         match self {
             Queue::Jobs => "jobs",
             Queue::Shards => "shards",
-            Queue::Appender => "appender",
+            Queue::Upload => "upload",
             Queue::RestoreCache => "restore_cache",
         }
     }
@@ -291,8 +293,6 @@ pub enum WorkerRole {
     Chunker,
     /// A per-application dedup shard.
     Shard,
-    /// The single-writer container appender.
-    Appender,
     /// A restore fetch/parse/verify worker.
     Restorer,
 }
@@ -303,7 +303,6 @@ impl WorkerRole {
         match self {
             WorkerRole::Chunker => "chunker",
             WorkerRole::Shard => "shard",
-            WorkerRole::Appender => "appender",
             WorkerRole::Restorer => "restorer",
         }
     }
@@ -684,17 +683,17 @@ mod tests {
         r.index_outcome(5, false);
         r.index_outcome(5, false);
         r.label_app(5, "rar");
-        r.queue_push(Queue::Appender);
-        r.queue_push(Queue::Appender);
-        r.queue_pop(Queue::Appender);
+        r.queue_push(Queue::Upload);
+        r.queue_push(Queue::Upload);
+        r.queue_pop(Queue::Upload);
         r.worker_report(WorkerRole::Shard, 4, Duration::from_millis(2), Duration::from_millis(1));
         let s = r.snapshot();
         assert_eq!(s.stage(Stage::Chunk).hist.count, 2);
         assert_eq!(s.counter(Counter::ChunksCdc), 2);
         let app = &s.apps[0];
         assert_eq!((app.tag, app.label.as_str(), app.hits, app.misses), (5, "rar", 1, 2));
-        assert_eq!(s.queue(Queue::Appender).hwm, 2);
-        assert_eq!(s.queue(Queue::Appender).depth, 1);
+        assert_eq!(s.queue(Queue::Upload).hwm, 2);
+        assert_eq!(s.queue(Queue::Upload).depth, 1);
         assert_eq!(s.workers[0].role, WorkerRole::Shard);
         r.reset();
         assert_eq!(r.snapshot().counter(Counter::ChunksCdc), 0);

@@ -264,10 +264,10 @@ fn run_loop(core: &Arc<Mutex<SamplerCore>>, stop: &Arc<AtomicBool>, interval: Du
         let now = epoch.elapsed();
         let t_ms = u64::try_from(now.as_millis()).unwrap_or(u64::MAX);
         let dt_ms = u64::try_from((now - last).as_millis()).unwrap_or(u64::MAX);
-        if !stopping || dt_ms > 0 {
-            let mut guard = core.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.tick(t_ms, dt_ms);
-        }
+        // The final tick is taken even under a millisecond after the last
+        // one (dt_ms = 0; rates then read 0): skipping it would drop the
+        // tail activity the series promises to keep.
+        core.lock().unwrap_or_else(PoisonError::into_inner).tick(t_ms, dt_ms);
         if stopping {
             return;
         }

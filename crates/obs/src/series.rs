@@ -17,8 +17,12 @@ use std::collections::VecDeque;
 
 /// Version of the metrics NDJSON stream layout (header + sample lines).
 /// Additive changes (new keys) do not bump this; removals or retypings do.
-/// Consumers must tolerate unknown keys.
-pub const METRICS_SCHEMA_VERSION: u32 = 1;
+/// Consumers must tolerate unknown keys. History:
+///
+/// * 1 — the original stream.
+/// * 2 — each sample's `queues` member names `upload` (sealed containers
+///   waiting for upload) where it named `appender`.
+pub const METRICS_SCHEMA_VERSION: u32 = 2;
 
 /// Dimensional labels attached to a sampler's series.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

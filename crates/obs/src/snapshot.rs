@@ -20,11 +20,14 @@ use std::time::Duration;
 /// * 1 — PR 2's original document (no version field).
 /// * 2 — adds `schema_version`, per-queue `underflow`, and the
 ///   `source_bytes` / `stored_bytes` / `restored_bytes` counters.
+/// * 3 — the `appender` queue becomes `upload` (sealed containers waiting
+///   for upload) and the `appender` worker role is gone, with the backup
+///   pipeline's appender thread.
 ///
 /// Consumers must tolerate unknown keys (the `obs::json` reader does by
 /// construction: unknown members are simply never asked for), so additive
 /// changes do not bump the version; removals or retypings do.
-pub const STATS_SCHEMA_VERSION: u32 = 2;
+pub const STATS_SCHEMA_VERSION: u32 = 3;
 
 /// One stage's histogram at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]

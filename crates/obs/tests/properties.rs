@@ -160,13 +160,13 @@ fn queue_gauges_track_high_water_marks_under_contention() {
             let rec = &rec;
             scope.spawn(move || {
                 for _ in 0..1000 {
-                    rec.queue_push(Queue::Appender);
-                    rec.queue_pop(Queue::Appender);
+                    rec.queue_push(Queue::Upload);
+                    rec.queue_pop(Queue::Upload);
                 }
             });
         }
     });
-    let q = rec.snapshot().queue(Queue::Appender);
+    let q = rec.snapshot().queue(Queue::Upload);
     assert_eq!(q.depth, 0, "all pushes matched by pops");
     assert!(q.hwm >= 1 && q.hwm <= 4, "hwm bounded by concurrency, got {}", q.hwm);
 }
